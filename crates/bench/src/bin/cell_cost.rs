@@ -18,6 +18,14 @@
 //! * `fast_path_lean` — [`olab_core::execute_lean`] served analytically:
 //!   scalar metrics straight from the closed form, no trace at all.
 //!
+//! Every row times the same schedule: the *sequential* timeline on the
+//! stock (contended) machine, the one shape both the full and the lean
+//! fast path serve. Production sends this shape to [`olab_core::execute`]
+//! only; its `execute_lean` traffic is the ideal leg of
+//! `Experiment::run`, the *overlapped* timeline on the uncontended
+//! machine. Both shapes go through the same analytic schedule builder, so
+//! the lean row tracks its cost without being the exact production call.
+//!
 //! The headline `fast_path_speedup` compares like for like at the metrics
 //! level — `event_loop_lean / fast_path_lean` — which is how sweeps consume
 //! cells; `fast_path_full_speedup` is the full-result comparison.
@@ -101,7 +109,6 @@ fn main() {
 
     // Executor-level path comparison: full results and lean (scalar-only)
     // results, through the fast path and through the event loop.
-    fastpath::set_enabled(true);
     execute(&workload, &machine).expect("workload runs");
     execute_lean(&workload, &machine).expect("workload runs");
     let fast_before = fastpath::fast_runs();

@@ -572,164 +572,30 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
 
 /// Executes a fast-path-eligible workload analytically, producing only the
 /// scalar metrics of [`LeanRun`] — no task records, no power segments, no
-/// trace. This is where the closed form's asymmetry over the event loop is
-/// largest: the engine *must* run every epoch and materialize its trace
-/// before any statistic exists, while the closed form integrates the same
-/// quantities directly. Agrees with
-/// [`LeanRun::summarize`](crate::LeanRun::summarize) of the event loop's
-/// result to floating-point rounding (the differential suite in
+/// trace. Builds the same [`FastSchedule`] as [`execute_fast`] (so `e2e_s`
+/// is bit-identical to the full result's) and derives the scalars from its
+/// lanes: overlap window counts under the engine's merge rule, energy and
+/// peak via per-task draw where the streams never overlap and via the
+/// boundary sweep where they do, and co-activity per participant. Agrees
+/// with [`LeanRun::summarize`](crate::LeanRun::summarize) of the event
+/// loop's result to floating-point rounding (the differential suite in
 /// `olab-oracle` pins this). Returns `None` exactly when [`execute_fast`]
 /// would (the bail conditions are the same).
 ///
-/// Two regimes:
-///
-/// * **no cross-stream co-residency** (every sequential schedule): one
-///   fused pass computes the schedule and every scalar together — each
-///   instant is kernel-only, comm-only, or idle, so energy is the sum of
-///   per-task `watts × duration` plus idle draw over the remaining
-///   `makespan − busy`, and windows and co-activity are zero;
-/// * **overlapping streams** (uncontended machines only): the generic
-///   lanes-based derivation ([`lean_from_lanes`]), which counts merged
-///   windows, accumulates co-activity, and integrates power with the same
-///   boundary sweep as [`execute_fast`] — without materializing segments.
-///
-/// Average power is `energy / makespan`: both paths' segments cover
+/// Average power is `energy / makespan`: the segments cover
 /// `[0, makespan]` per GPU, so the time-weighted average divides by the
 /// makespan exactly as [`olab_power::PowerTrace::average`] does.
 pub(crate) fn execute_fast_lean(workload: &Workload<Op>, machine: &Machine) -> Option<LeanRun> {
-    let n = workload.len();
     let n_gpus = workload.n_gpus();
     let tasks = workload.tasks();
 
-    if n == 0 {
+    if tasks.is_empty() {
         return Some(LeanRun {
             e2e_s: 0.0,
             gpus: vec![LeanGpuStats::default(); n_gpus],
         });
     }
 
-    // Specialized single pass for the common case: schedule and scalar
-    // statistics together, with no lanes, no start array, and no
-    // per-task id tables. Cross-stream co-residency is detected on the
-    // fly: a task starting before the other stream's latest end on any
-    // participant *may* overlap an earlier interval (it may also land in
-    // a gap), and any actual overlap pair is caught this way on its
-    // later-pushed member — so `clean == true` proves the schedule has no
-    // co-residency at all, on any GPU. Clean schedules finish right here;
-    // flagged ones redo through the generic lanes-based path below.
-    let mut interner = Interner::default();
-    let mut kernel_watts: Vec<f64> = Vec::new();
-    let mut comm_watts: Vec<f64> = Vec::new();
-    let mut end = vec![0.0f64; n];
-    let mut queue_last = vec![0.0f64; n_gpus * 2];
-    let mut busy = vec![[0.0f64; 2]; n_gpus];
-    let mut energy = vec![0.0f64; n_gpus];
-    let mut peak = vec![0.0f64; n_gpus];
-    let mut clean = true;
-    for (i, task) in tasks.iter().enumerate() {
-        let mut t = 0.0f64;
-        for dep in &task.deps {
-            if dep.index() >= i {
-                return None;
-            }
-            t = t.max(end[dep.index()]);
-        }
-        let si = task.stream.index();
-        let oi = task.stream.other().index();
-        for g in &task.participants {
-            t = t.max(queue_last[g.index() * 2 + si]);
-        }
-        let (duration, kid, cid) = interner.intern(task, machine)?;
-        // Solo draw, memoized per interned payload (new ids are appended
-        // sequentially, so a fresh id is priced exactly once). Like the
-        // durations, `segment_power_w` has no per-GPU input on an eligible
-        // machine.
-        let w = if kid != NONE {
-            let k = kid as usize;
-            if k == kernel_watts.len() {
-                kernel_watts.push(machine.segment_power_w(
-                    task.participants[0].index(),
-                    Some(interner.kernel_ops[k]),
-                    None,
-                ));
-            }
-            kernel_watts[k]
-        } else {
-            let c = cid as usize;
-            if c == comm_watts.len() {
-                comm_watts.push(machine.segment_power_w(
-                    task.participants[0].index(),
-                    None,
-                    Some(interner.comm_interned[c].0),
-                ));
-            }
-            comm_watts[c]
-        };
-        let e = t + duration;
-        end[i] = e;
-        let task_energy = w * duration;
-        for g in &task.participants {
-            let gi = g.index();
-            if t < queue_last[gi * 2 + oi] {
-                clean = false;
-            }
-            queue_last[gi * 2 + si] = e;
-            busy[gi][si] += duration;
-            energy[gi] += task_energy;
-            peak[gi] = peak[gi].max(w);
-        }
-    }
-    if !clean {
-        return lean_from_lanes(workload, machine);
-    }
-
-    let makespan = end.iter().copied().fold(0.0f64, f64::max);
-    let mut gpus = Vec::with_capacity(n_gpus);
-    for g in 0..n_gpus {
-        let compute_s = busy[g][StreamKind::Compute.index()];
-        let comm_s = busy[g][StreamKind::Comm.index()];
-        let mut energy_j = energy[g];
-        let mut peak_w = peak[g];
-        // With no co-residency, each instant is kernel-only, comm-only, or
-        // idle; the idle remainder draws the floor (the full path emits
-        // idle segments only over genuine gaps, so `idle == 0` means it
-        // emitted none).
-        let idle = makespan - compute_s - comm_s;
-        if idle > 0.0 {
-            let w = machine.segment_power_w(g, None, None);
-            energy_j += w * idle;
-            peak_w = peak_w.max(w);
-        }
-        gpus.push(LeanGpuStats {
-            compute_s,
-            comm_s,
-            overlapped_compute_s: 0.0,
-            hidden_comm_s: 0.0,
-            average_power_w: if makespan > 0.0 {
-                energy_j / makespan
-            } else {
-                0.0
-            },
-            peak_power_w: peak_w,
-            energy_j,
-            overlap_windows: 0,
-        });
-    }
-    Some(LeanRun {
-        e2e_s: makespan,
-        gpus,
-    })
-}
-
-/// The generic lanes-based lean evaluation: builds the full
-/// [`FastSchedule`] and derives the [`LeanRun`] scalars from its lanes —
-/// overlap window counts under the engine's merge rule, energy/peak via the
-/// boundary sweep where streams overlap, and co-activity per participant.
-/// [`execute_fast_lean`] reaches this only when its single-pass scan flags
-/// potential cross-stream co-residency.
-fn lean_from_lanes(workload: &Workload<Op>, machine: &Machine) -> Option<LeanRun> {
-    let n_gpus = workload.n_gpus();
-    let tasks = workload.tasks();
     let s = build_schedule(workload, machine)?;
 
     let cslots = s.comm_interned.len() + 1;

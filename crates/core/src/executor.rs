@@ -471,4 +471,50 @@ mod tests {
         assert!(ovl.peak_power_w() > ovl.average_power_w());
         assert!(ovl.energy_j() > 0.0);
     }
+
+    /// The ideal leg of `Experiment::run` reads only `e2e_s` from the lean
+    /// result, so on both fast-path shapes of a cell — the overlapped
+    /// schedule on the uncontended machine and the sequential schedule on
+    /// the contended one — the lean makespan must equal the full result's
+    /// bit for bit, not merely within the differential suite's band.
+    #[test]
+    fn lean_and_full_makespans_agree_bit_for_bit() {
+        use crate::{Experiment, Strategy};
+        use olab_gpu::SkuKind;
+
+        let cells = [
+            Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(128),
+            Experiment::new(
+                SkuKind::A100,
+                4,
+                ModelPreset::Gpt3Xl,
+                Strategy::Pipeline { microbatch_size: 2 },
+                8,
+            )
+            .with_seq(128),
+        ];
+        for exp in &cells {
+            let policy = exp.validate().expect("cell fits");
+            let machine = exp.machine();
+            for (mode, m) in [
+                (ExecutionMode::Overlapped, machine.uncontended()),
+                (ExecutionMode::Sequential, machine.clone()),
+            ] {
+                let w = exp.timeline(mode, policy).expect("timeline builds");
+                assert!(
+                    crate::analytic::execute_fast_lean(&w, &m).is_some(),
+                    "{} {mode:?}: the fast path must serve this shape",
+                    exp.label()
+                );
+                let lean = execute_lean(&w, &m).expect("lean runs").e2e_s;
+                let full = execute(&w, &m).expect("full runs").e2e_s;
+                assert_eq!(
+                    lean.to_bits(),
+                    full.to_bits(),
+                    "{} {mode:?}: lean {lean} vs full {full}",
+                    exp.label()
+                );
+            }
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! The contention-free analytic fast path: classifier, switch, counters.
+//! The contention-free analytic fast path: classifier and counters.
 //!
 //! The paper's core claim is that real overlap diverges from the "constant
 //! compute/communication latency" assumption *only under contention*. The
@@ -15,19 +15,19 @@
 //! The differential suite in `olab-oracle` pins that equivalence; see
 //! `docs/FASTPATH.md` for the rules and the guarantee.
 //!
-//! The enable switch and the run counters are process-wide atomics: cache
-//! keys in `olab-grid` must *not* depend on the execution path (the answers
-//! are the same), but [`SweepStats`](crate::SweepStats) reports how many
-//! cells took which path so artifacts stay auditable.
+//! The run counters are process-wide atomics: cache keys in `olab-grid`
+//! must *not* depend on the execution path (the answers are the same), but
+//! [`SweepStats`](crate::SweepStats) reports how many cells took which path
+//! so artifacts stay auditable. Callers that need the reference engine call
+//! [`execute_event_loop`](crate::execute_event_loop) directly.
 
 use crate::Machine;
 use olab_metrics::{counter, Counter, Determinism, Histogram};
 use olab_parallel::Op;
 use olab_sim::Workload;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static FAST_RUNS: AtomicU64 = AtomicU64::new(0);
 static EVENT_LOOP_RUNS: AtomicU64 = AtomicU64::new(0);
 
@@ -97,20 +97,6 @@ pub fn touch_metrics() {
     olab_grid::metrics::touch();
 }
 
-/// Enables or disables the fast path process-wide (default: enabled).
-///
-/// Disabling forces every cell through the event loop — the differential
-/// harness and the `cell_cost` benchmark use this to obtain the reference
-/// timings.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the fast path is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Number of executions served by the analytic fast path since process
 /// start. Monotone (process-wide, shared by every thread).
 pub fn fast_runs() -> u64 {
@@ -124,14 +110,14 @@ pub fn event_loop_runs() -> u64 {
 }
 
 /// The O(1) machine-level gate the executor checks before attempting the
-/// analytic schedule: switch on, no jitter, no transient frequency caps.
+/// analytic schedule: no jitter, no transient frequency caps.
 /// The per-task rules ([`FastPathDecision::ForwardDep`],
 /// [`FastPathDecision::MixedStream`]) are enforced inside the schedule
 /// builder itself, which bails to the event loop on first violation — so
 /// the executor never pays a separate O(n) classification pass. The public
 /// [`CellClassifier`] reports the same decisions for diagnostics.
 pub(crate) fn machine_eligible(machine: &Machine) -> bool {
-    enabled() && !machine.has_jitter() && !machine.has_gpu_freq_caps()
+    !machine.has_jitter() && !machine.has_gpu_freq_caps()
 }
 
 pub(crate) fn note_fast_run() {
@@ -153,8 +139,6 @@ pub(crate) fn note_event_loop_run() {
 pub enum FastPathDecision {
     /// All static preconditions hold; the analytic schedule may be used.
     Eligible,
-    /// The process-wide switch is off ([`set_enabled`]).
-    Disabled,
     /// An observer is attached; the event loop is the only path that can
     /// drive task-edge and epoch callbacks.
     Observed,
@@ -185,13 +169,12 @@ impl FastPathDecision {
 ///
 /// The rules, in order:
 ///
-/// 1. the process-wide switch must be on;
-/// 2. no observer may be attached (`observed == false`);
-/// 3. the machine must be deterministic: no jitter, no transient per-GPU
+/// 1. no observer may be attached (`observed == false`);
+/// 2. the machine must be deterministic: no jitter, no transient per-GPU
 ///    frequency caps (fault wrappers are excluded at the type level — only
 ///    `Machine`-typed execution reaches this classifier at all);
-/// 4. every dependency must point backward in push order;
-/// 5. every task's payload kind must match its stream (compute payloads on
+/// 3. every dependency must point backward in push order;
+/// 4. every task's payload kind must match its stream (compute payloads on
 ///    the compute stream, comm payloads on the comm stream).
 ///
 /// Contention is *not* a static disqualifier: a contended machine is fine
@@ -209,9 +192,6 @@ impl CellClassifier {
     ) -> FastPathDecision {
         if observed {
             return FastPathDecision::Observed;
-        }
-        if !enabled() {
-            return FastPathDecision::Disabled;
         }
         if machine.has_jitter() {
             return FastPathDecision::Jittered;

@@ -573,7 +573,7 @@ impl Sweep {
         let fast_before = crate::fastpath::fast_runs();
         let SweepRun { outputs, mut stats } = self.engine.run_guarded(cells, &guard, sink);
         // Process-global counter: concurrent sweeps can only inflate the
-        // delta, never shrink it, so the attribution stays a lower bound
+        // delta, never shrink it, so the attribution is an upper bound
         // per-sweep and exact when sweeps don't overlap in time.
         stats.fast_path = (crate::fastpath::fast_runs() - fast_before) as usize;
         SweepOutcome {

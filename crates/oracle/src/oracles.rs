@@ -676,9 +676,8 @@ fn check_report(
 /// ([`verify_trace`]) as an engine trace.
 ///
 /// The check is path-agnostic by design: if the fast path declines a cell
-/// (or is disabled process-wide) both runs take the event loop and the
-/// comparison is trivially clean, so callers that want to *prove* the fast
-/// path fired must additionally watch
+/// both runs take the event loop and the comparison is trivially clean, so
+/// callers that want to *prove* the fast path fired must additionally watch
 /// [`fast_runs`](olab_core::fastpath::fast_runs).
 ///
 /// # Errors

@@ -2,10 +2,9 @@
 //! observationally equivalent to the event loop on every eligible cell,
 //! and must *never* fire on cells it cannot legally serve.
 //!
-//! The fast-path switch and run counters are process-wide atomics, so
-//! every test here serializes on one mutex: this binary is the only
-//! process whose tests toggle `set_enabled` or assert on counter deltas,
-//! and within the binary the lock keeps the deltas attributable.
+//! The fast-path run counters are process-wide atomics, so every test here
+//! serializes on one mutex: each test asserts on counter deltas, and the
+//! lock keeps another test's runs from landing inside its window.
 
 use olab_core::fastpath;
 use olab_core::{execute, execute_event_loop, execute_observed, Experiment, Jitter, Strategy};
@@ -17,13 +16,13 @@ use olab_parallel::ExecutionMode;
 use olab_sim::{EngineObserver, GpuCounters};
 use std::sync::Mutex;
 
-/// Serializes the tests in this binary (they share process-global
-/// fast-path state). `unwrap_or_else(into_inner)` keeps a poisoned lock
-/// usable: a failed test must not cascade into lock panics elsewhere.
+/// Serializes the tests in this binary (they read deltas of the
+/// process-global run counters). `unwrap_or_else(into_inner)` keeps a
+/// poisoned lock usable: a failed test must not cascade into lock panics
+/// elsewhere.
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
-    fastpath::set_enabled(true);
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -191,7 +190,7 @@ fn observed_runs_never_take_the_fast_path() {
 }
 
 #[test]
-fn disabling_the_switch_forces_the_event_loop_with_identical_results() {
+fn routed_fast_path_matches_the_event_loop_reference() {
     let _guard = locked();
     let exp = overlapping_cell();
     let policy = exp.validate().expect("cell fits");
@@ -208,11 +207,13 @@ fn disabling_the_switch_forces_the_event_loop_with_identical_results() {
         "a sequential schedule on a deterministic machine is eligible"
     );
 
-    fastpath::set_enabled(false);
-    let disabled_before = fastpath::fast_runs();
-    let reference = execute(&w, &machine).expect("runs");
-    fastpath::set_enabled(true);
-    assert_eq!(fastpath::fast_runs() - disabled_before, 0);
+    let reference_before = fastpath::fast_runs();
+    let reference = execute_event_loop(&w, &machine).expect("runs");
+    assert_eq!(
+        fastpath::fast_runs() - reference_before,
+        0,
+        "the reference entry point bypasses the fast path"
+    );
 
     // Within oracle tolerance, not bit-identical: the event loop
     // accumulates `now += dt` per epoch while the closed form sums spans.

@@ -4,19 +4,35 @@
 //!
 //! Pinned with a counting global allocator, like `olab-obs/tests/alloc.rs`
 //! (the library forbids unsafe code; a separate integration-test crate is
-//! the only place Rust lets us count).
+//! the only place Rust lets us count). The count is per thread: the test
+//! harness runs these tests in parallel, and each one measures only the
+//! allocations its own thread makes.
 
 use olab_sim::{ConstantRate, Engine, GpuId, SimArena, TaskSpec, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` only fails during thread teardown, when nothing measures.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -25,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,7 +79,7 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
     let mut arena = SimArena::new();
     // Warm-up: grow the arena (and the trace-side capacities) to steady state.
     engine.run_in(w, &mut arena).expect("workload runs");
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..RUNS {
         if warm {
             engine.run_in(w, &mut arena).expect("workload runs");
@@ -73,7 +89,7 @@ fn allocations_per_run(engine: &mut Engine<ConstantRate>, w: &Workload<()>, warm
                 .expect("workload runs");
         }
     }
-    (ALLOCATIONS.load(Ordering::SeqCst) - before) / RUNS
+    (allocations() - before) / RUNS
 }
 
 /// The documented steady-state budget, derived from what legitimately

@@ -4,7 +4,7 @@
 //! textual descriptor of the cell configuration, and *nothing else* — in
 //! particular not the execution path (event loop vs analytic fast path),
 //! which both produce the same answers. These tests pin that contract
-//! three ways:
+//! two ways:
 //!
 //! * a **golden vector**: the exact descriptor string and FNV-1a key of a
 //!   fixed cell under fixed schema/calibration versions. If this test
@@ -12,27 +12,15 @@
 //!   worse, aliases) every existing on-disk cache. Bump
 //!   [`CELL_SCHEMA_VERSION`](olab_core::sweep::CELL_SCHEMA_VERSION) instead
 //!   of editing the format in place, then re-pin here;
-//! * **path independence**: toggling the fast-path switch does not move
-//!   the key;
 //! * **attribution**: `SweepStats::fast_path` (not the key) is what
-//!   records which path served the cells, and the two paths' metrics
-//!   agree.
+//!   records which path served the cells, and the swept metrics agree with
+//!   the reference event loop's.
 
-use olab_core::sweep::{cell_descriptor_versioned, cell_key};
-use olab_core::{fastpath, Experiment, Strategy, Sweep};
+use olab_core::sweep::cell_descriptor_versioned;
+use olab_core::{execute_event_loop, Experiment, OverlapMetrics, Strategy, Sweep};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
-use std::sync::Mutex;
-
-/// The fast-path switch is process-wide; tests that toggle it serialize
-/// here and restore the default.
-static GUARD: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    let g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    fastpath::set_enabled(true);
-    g
-}
+use olab_parallel::ExecutionMode;
 
 fn golden_cell() -> Experiment {
     Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256)
@@ -58,50 +46,37 @@ const GOLDEN_DESCRIPTOR: &str = "olab-cell schema=1 calib=1 sku=H100 gpus=4 mode
 const GOLDEN_KEY: u64 = 0x06ac_15d7_ee86_ad91;
 
 #[test]
-fn cell_key_is_execution_path_independent() {
-    let _g = locked();
-    let exp = golden_cell();
-    fastpath::set_enabled(true);
-    let enabled_key = cell_key(&exp);
-    fastpath::set_enabled(false);
-    let disabled_key = cell_key(&exp);
-    fastpath::set_enabled(true);
-    assert_eq!(enabled_key, disabled_key);
-}
-
-#[test]
 fn sweep_stats_attribute_the_path_and_paths_agree() {
-    let _g = locked();
     let cells = vec![
         Experiment::new(SkuKind::H100, 2, ModelPreset::Gpt3Xl, Strategy::Fsdp, 4).with_seq(64),
         Experiment::new(SkuKind::A100, 2, ModelPreset::Gpt3Xl, Strategy::Fsdp, 4).with_seq(64),
     ];
 
-    fastpath::set_enabled(true);
     let fast = Sweep::new().run(&cells);
     assert!(
         fast.stats.fast_path > 0,
         "eligible cells must be attributed to the fast path"
     );
 
-    fastpath::set_enabled(false);
-    let reference = Sweep::new().run(&cells);
-    fastpath::set_enabled(true);
-    assert_eq!(
-        reference.stats.fast_path, 0,
-        "switch off, nothing attributed"
-    );
-
-    for (f, r) in fast.cells.iter().zip(&reference.cells) {
+    for (exp, f) in cells.iter().zip(&fast.cells) {
         let f = f.as_ref().expect("cell simulates");
-        let r = r.as_ref().expect("cell simulates");
+        let policy = exp.validate().expect("cell fits");
+        let machine = exp.machine();
+        let leg = |mode| {
+            let w = exp.timeline(mode, policy).expect("timeline builds");
+            execute_event_loop(&w, &machine).expect("reference runs")
+        };
+        let r = OverlapMetrics::derive(
+            &leg(ExecutionMode::Overlapped),
+            &leg(ExecutionMode::Sequential),
+        );
         for (a, b) in [
-            (f.metrics.e2e_overlapped_s, r.metrics.e2e_overlapped_s),
+            (f.metrics.e2e_overlapped_s, r.e2e_overlapped_s),
             (
                 f.metrics.e2e_sequential_measured_s,
-                r.metrics.e2e_sequential_measured_s,
+                r.e2e_sequential_measured_s,
             ),
-            (f.metrics.overlap_ratio, r.metrics.overlap_ratio),
+            (f.metrics.overlap_ratio, r.overlap_ratio),
         ] {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1e-9),
