@@ -26,6 +26,16 @@
 //! machine. Both shapes go through the same analytic schedule builder, so
 //! the lean row tracks its cost without being the exact production call.
 //!
+//! Three stage rows time the cell around those legs:
+//!
+//! * `schedule_build_overlapped` — [`Experiment::timeline`] in overlapped
+//!   mode, the one schedule build a cell pays;
+//! * `serialize_pass` — [`olab_sim::Workload::serialized`] over that
+//!   schedule, which derives the sequential leg's schedule (the copy it
+//!   consumes is made outside the timer);
+//! * `experiment_run` — the whole cell, [`Experiment::run`]: one build,
+//!   three legs, metric derivation and power sampling.
+//!
 //! The headline `fast_path_speedup` compares like for like at the metrics
 //! level — `event_loop_lean / fast_path_lean` — which is how sweeps consume
 //! cells; `fast_path_full_speedup` is the full-result comparison.
@@ -141,6 +151,28 @@ fn main() {
         "the benchmark cell must be fast-path eligible on both fast runs"
     );
 
+    // Stage rows: the cell's one schedule build, the serialization pass
+    // and the whole cell.
+    let mut build = Vec::with_capacity(iters);
+    let mut serialize = Vec::with_capacity(iters);
+    let mut run = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let t = Instant::now();
+        let overlapped = exp
+            .timeline(ExecutionMode::Overlapped, policy)
+            .expect("timeline builds");
+        build.push(t.elapsed().as_nanos());
+
+        let t = Instant::now();
+        let sequential = overlapped.serialized();
+        serialize.push(t.elapsed().as_nanos());
+        assert_eq!(sequential.len(), workload.len());
+
+        let t = Instant::now();
+        exp.run().expect("benchmark cell runs");
+        run.push(t.elapsed().as_nanos());
+    }
+
     let cold_ns = median_ns(&cold);
     let warm_ns = median_ns(&warm);
     let fast_full_ns = median_ns(&fast_full);
@@ -154,7 +186,7 @@ fn main() {
     let commit = olab_bench::trend::current_commit();
 
     let json = format!(
-        "{{\n  \"bench\": \"cell_cost\",\n  \"commit\": \"{}\",\n  \"mode\": \"{}\",\n  \"cell\": \"{}\",\n  \"tasks\": {},\n  \"iters\": {},\n  \"median_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {}\n  }},\n  \"p99_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {}\n  }},\n  \"fast_path_speedup\": {:.2},\n  \"fast_path_full_speedup\": {:.2},\n  \"warm_arena_savings_frac\": {:.4}\n}}\n",
+        "{{\n  \"bench\": \"cell_cost\",\n  \"commit\": \"{}\",\n  \"mode\": \"{}\",\n  \"cell\": \"{}\",\n  \"tasks\": {},\n  \"iters\": {},\n  \"median_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {},\n    \"schedule_build_overlapped\": {},\n    \"serialize_pass\": {},\n    \"experiment_run\": {}\n  }},\n  \"p99_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {},\n    \"schedule_build_overlapped\": {},\n    \"serialize_pass\": {},\n    \"experiment_run\": {}\n  }},\n  \"fast_path_speedup\": {:.2},\n  \"fast_path_full_speedup\": {:.2},\n  \"warm_arena_savings_frac\": {:.4}\n}}\n",
         json_escape(&commit),
         mode,
         json_escape(&exp.label()),
@@ -166,12 +198,18 @@ fn main() {
         loop_lean_ns,
         fast_full_ns,
         fast_lean_ns,
+        median_ns(&build),
+        median_ns(&serialize),
+        median_ns(&run),
         p99_ns(&cold),
         p99_ns(&warm),
         p99_ns(&loop_full),
         p99_ns(&loop_lean),
         p99_ns(&fast_full),
         p99_ns(&fast_lean),
+        p99_ns(&build),
+        p99_ns(&serialize),
+        p99_ns(&run),
         speedup,
         full_speedup,
         arena_savings,

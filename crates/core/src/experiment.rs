@@ -378,20 +378,28 @@ impl Experiment {
     /// [`ExperimentError::Sim`] if the engine rejects the schedule.
     pub fn run(&self) -> Result<ExperimentReport, ExperimentError> {
         let policy = self.validate()?;
-        let machine = self.machine();
+        self.run_on(self.machine(), policy)
+    }
 
-        let overlapped = execute(&self.timeline(ExecutionMode::Overlapped, policy)?, &machine)?;
-        let sequential = execute(&self.timeline(ExecutionMode::Sequential, policy)?, &machine)?;
+    /// Runs the three legs of one cell on `machine` from a single schedule
+    /// build: the overlapped leg, the ideal leg on the same workload with
+    /// contention off, and the sequential leg on the workload serialized in
+    /// place. Every leg starts from the machine's own jitter seed, so leg
+    /// order does not change results.
+    fn run_on(
+        &self,
+        machine: Machine,
+        policy: ActivationPolicy,
+    ) -> Result<ExperimentReport, ExperimentError> {
+        let workload = self.timeline(ExecutionMode::Overlapped, policy)?;
+        let overlapped = execute(&workload, &machine)?;
         // Only the ideal leg's end-to-end time is reported, so the lean
         // executor serves it without materializing a trace.
-        let ideal = execute_lean(
-            &self.timeline(ExecutionMode::Overlapped, policy)?,
-            &machine.uncontended(),
-        )?;
+        let ideal = execute_lean(&workload, &machine.uncontended())?;
+        let sequential = execute(&workload.serialized(), &machine)?;
 
         let metrics = OverlapMetrics::derive(&overlapped, &sequential);
-        let sampler = self.sampler();
-        let sampled = overlapped.gpus[0].power.sample(sampler);
+        let sampled = overlapped.gpus[0].power.sample(self.sampler());
 
         Ok(ExperimentReport {
             experiment: self.clone(),
@@ -453,27 +461,7 @@ impl Experiment {
     /// Same as [`Experiment::run`].
     pub fn run_jittered(&self, seed: u64, sigma: f64) -> Result<ExperimentReport, ExperimentError> {
         let policy = self.validate()?;
-        let mut machine = self.machine();
-        machine = machine.with_jitter(Jitter { seed, sigma });
-
-        let overlapped = execute(&self.timeline(ExecutionMode::Overlapped, policy)?, &machine)?;
-        let sequential = execute(&self.timeline(ExecutionMode::Sequential, policy)?, &machine)?;
-        let ideal = execute_lean(
-            &self.timeline(ExecutionMode::Overlapped, policy)?,
-            &machine.uncontended(),
-        )?;
-        let metrics = OverlapMetrics::derive(&overlapped, &sequential);
-        let sampled = overlapped.gpus[0].power.sample(self.sampler());
-        Ok(ExperimentReport {
-            experiment: self.clone(),
-            activation_policy: policy,
-            metrics,
-            sampled_avg_w: sampled.average().unwrap_or(0.0),
-            sampled_peak_w: sampled.peak().unwrap_or(0.0),
-            ideal_simulated_e2e_s: ideal.e2e_s,
-            overlapped,
-            sequential,
-        })
+        self.run_on(self.machine().with_jitter(Jitter { seed, sigma }), policy)
     }
 
     /// Runs the experiment `n` times with different noise seeds and returns

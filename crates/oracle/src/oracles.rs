@@ -592,7 +592,7 @@ fn check_report(
     let sku = exp.sku.sku();
 
     let overlapped_w = exp.timeline(ExecutionMode::Overlapped, policy)?;
-    let sequential_w = exp.timeline(ExecutionMode::Sequential, policy)?;
+    let sequential_w = overlapped_w.clone().serialized();
     check_run(report, "overlapped", &overlapped_w, &rep.overlapped, &sku);
     check_run(report, "sequential", &sequential_w, &rep.sequential, &sku);
 
@@ -689,15 +689,15 @@ pub fn check_fastpath_equivalence(exp: &Experiment) -> Result<DivergenceReport, 
     let machine = exp.machine();
     let mut report = DivergenceReport::new(format!("fastpath {}", exp.label()));
 
-    let sequential_w = exp.timeline(ExecutionMode::Sequential, policy)?;
-    compare_paths(&mut report, "sequential/contended", &sequential_w, &machine)?;
-    let overlapped_w = exp.timeline(ExecutionMode::Overlapped, policy)?;
+    let workload = exp.timeline(ExecutionMode::Overlapped, policy)?;
     compare_paths(
         &mut report,
         "overlapped/uncontended",
-        &overlapped_w,
+        &workload,
         &machine.uncontended(),
     )?;
+    let workload = workload.serialized();
+    compare_paths(&mut report, "sequential/contended", &workload, &machine)?;
     Ok(report)
 }
 

@@ -20,8 +20,9 @@
 //!   `overlap_comm`-style switches). The `olab-core` adaptive scheduler
 //!   searches this space.
 //!
-//! In [`ExecutionMode::Sequential`] the whole schedule is chained so that no
-//! communication overlaps computation — the paper's baseline.
+//! In [`ExecutionMode::Sequential`] the overlapped schedule is serialized
+//! per GPU so that no communication overlaps computation — the paper's
+//! baseline.
 
 use crate::{ComputeOp, ExecutionMode, Op, ScheduleBuilder};
 use olab_ccl::{lower, Algorithm, Collective};

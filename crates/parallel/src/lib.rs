@@ -12,8 +12,9 @@
 //!   point-to-point transfers that overlap with the compute of neighbouring
 //!   microbatches (Fig. 3(b));
 //! * [`ExecutionMode`] — `Overlapped` builds the natural schedule;
-//!   `Sequential` serializes communication against computation on every
-//!   GPU, which is the paper's non-overlapping baseline.
+//!   `Sequential` is the paper's non-overlapping baseline: the same
+//!   schedule after a serialization pass ([`olab_sim::Workload::serialized`])
+//!   that chains every task after the previous task on each of its GPUs.
 //!
 //! ```rust
 //! use olab_gpu::{Datapath, GpuSku, Precision};

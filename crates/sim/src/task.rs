@@ -149,6 +149,31 @@ impl<P> Workload<P> {
         self.tasks.get(id.index())
     }
 
+    /// Serializes the workload per device, in place.
+    ///
+    /// Walking the tasks in push order, every task gains a dependency on
+    /// the previously pushed task of each of its participants, whatever
+    /// stream either task is on, unless that edge already exists. Nothing
+    /// on a device can then run concurrently with anything else on it.
+    /// Task count, order and every other field are unchanged, and applying
+    /// the pass twice adds nothing the first application did not.
+    pub fn serialized(mut self) -> Self {
+        let mut last_on_gpu: Vec<Option<TaskId>> = vec![None; self.n_gpus];
+        for (i, task) in self.tasks.iter_mut().enumerate() {
+            let id = TaskId(i as u32);
+            for gpu in &task.participants {
+                let last = &mut last_on_gpu[gpu.index()];
+                if let Some(prev) = *last {
+                    if !task.deps.contains(&prev) {
+                        task.deps.push(prev);
+                    }
+                }
+                *last = Some(id);
+            }
+        }
+        self
+    }
+
     /// Validates structural invariants (dependency ids in range, no
     /// self-dependency). Called by the engine before running.
     pub fn validate(&self) -> Result<(), SimError> {
@@ -216,6 +241,67 @@ mod tests {
     fn out_of_range_device_panics() {
         let mut w = Workload::new(2);
         w.push(TaskSpec::compute("a", GpuId(2), ()));
+    }
+
+    #[test]
+    fn serialized_chains_a_collective_on_every_participant() {
+        let mut w = Workload::new(3);
+        let a0 = w.push(TaskSpec::compute("a0", GpuId(0), ()));
+        let a1 = w.push(TaskSpec::compute("a1", GpuId(1), ()));
+        let a2 = w.push(TaskSpec::comm("a2", GpuId(2), ()));
+        let ar = w.push(TaskSpec::collective(
+            "ar",
+            vec![GpuId(0), GpuId(1), GpuId(2)],
+            (),
+        ));
+        let w = w.serialized();
+        assert_eq!(w.tasks()[ar.index()].deps, vec![a0, a1, a2]);
+    }
+
+    #[test]
+    fn serialized_chains_across_streams_and_skips_existing_edges() {
+        let mut w = Workload::new(1);
+        let a = w.push(TaskSpec::compute("a", GpuId(0), ()));
+        let b = w.push(TaskSpec::comm("b", GpuId(0), ()).after(a));
+        let c = w.push(TaskSpec::compute("c", GpuId(0), ()));
+        let w = w.serialized();
+        assert_eq!(w.tasks()[a.index()].deps, vec![]);
+        assert_eq!(w.tasks()[b.index()].deps, vec![a], "edge not duplicated");
+        assert_eq!(w.tasks()[c.index()].deps, vec![b]);
+    }
+
+    #[test]
+    fn serialized_is_idempotent_and_keeps_task_order() {
+        let mut w = Workload::new(2);
+        w.push(TaskSpec::compute("a", GpuId(0), ()));
+        w.push(TaskSpec::comm("b", GpuId(1), ()));
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()));
+        w.push(TaskSpec::compute("c", GpuId(1), ()).after(TaskId(0)));
+        w.push(TaskSpec::comm("d", GpuId(0), ()));
+        let labels = |w: &Workload<()>| -> Vec<String> {
+            w.tasks().iter().map(|t| t.label.clone()).collect()
+        };
+        let deps = |w: &Workload<()>| -> Vec<Vec<TaskId>> {
+            w.tasks().iter().map(|t| t.deps.clone()).collect()
+        };
+        let before = labels(&w);
+        let once = w.serialized();
+        assert_eq!(labels(&once), before);
+        assert_eq!(once.n_gpus(), 2);
+        let once_deps = deps(&once);
+        assert_eq!(
+            once_deps,
+            vec![
+                vec![],
+                vec![],
+                vec![TaskId(0), TaskId(1)],
+                vec![TaskId(0), TaskId(2)],
+                vec![TaskId(2)],
+            ]
+        );
+        let twice = once.serialized();
+        assert_eq!(labels(&twice), before);
+        assert_eq!(deps(&twice), once_deps);
     }
 
     #[test]
