@@ -8,37 +8,38 @@
 //!   configuration of [`olab_core::execute_event_loop`]);
 //! * `event_loop_full_stats` — the engine plus the full per-GPU statistics
 //!   derivation ([`olab_core::execute_event_loop`]);
-//! * `event_loop_lean` — the engine plus the scalar-only reduction
-//!   ([`olab_core::LeanRun::summarize`]): the cheapest the event loop can
-//!   deliver metrics, since it must run every epoch before any statistic
-//!   exists;
+//! * `event_loop_lean` — the makespan read off
+//!   [`olab_core::execute_event_loop`], which is what
+//!   [`olab_core::execute_lean`] falls back to: the engine must run every
+//!   epoch before any makespan exists;
 //! * `fast_path_full` — [`olab_core::execute`] routed through the
 //!   contention-free analytic closed form, materializing the same full
 //!   [`RunResult`](olab_core::RunResult);
 //! * `fast_path_lean` — [`olab_core::execute_lean`] served analytically:
-//!   scalar metrics straight from the closed form, no trace at all.
+//!   the closed-form schedule's makespan, with no power, statistics or
+//!   trace behind it.
 //!
-//! Every row times the same schedule: the *sequential* timeline on the
-//! stock (contended) machine, the one shape both the full and the lean
+//! Every row above times the same schedule: the *sequential* timeline on
+//! the stock (contended) machine, the one shape both the full and the lean
 //! fast path serve. Production sends this shape to [`olab_core::execute`]
 //! only; its `execute_lean` traffic is the ideal leg of
-//! `Experiment::run`, the *overlapped* timeline on the uncontended
-//! machine. Both shapes go through the same analytic schedule builder, so
-//! the lean row tracks its cost without being the exact production call.
+//! `Experiment::run`, timed by its own row below.
 //!
-//! Three stage rows time the cell around those legs:
+//! Four stage rows time the cell around those legs:
 //!
 //! * `schedule_build_overlapped` — [`Experiment::timeline`] in overlapped
 //!   mode, the one schedule build a cell pays;
 //! * `serialize_pass` — [`olab_sim::Workload::serialized`] over that
 //!   schedule, which derives the sequential leg's schedule (the copy it
 //!   consumes is made outside the timer);
+//! * `ideal_leg` — the production ideal leg: [`olab_core::execute_lean`]
+//!   on the overlapped schedule on the uncontended machine;
 //! * `experiment_run` — the whole cell, [`Experiment::run`]: one build,
 //!   three legs, metric derivation and power sampling.
 //!
-//! The headline `fast_path_speedup` compares like for like at the metrics
-//! level — `event_loop_lean / fast_path_lean` — which is how sweeps consume
-//! cells; `fast_path_full_speedup` is the full-result comparison.
+//! The headline `fast_path_speedup` compares like for like at the makespan
+//! level — `event_loop_lean / fast_path_lean` — which is how the ideal leg
+//! consumes a run; `fast_path_full_speedup` is the full-result comparison.
 //!
 //! Writes a single snapshot (override the path with `--out <path>`) and
 //! prints the same JSON to stdout; `--smoke` shrinks the cell and
@@ -49,9 +50,7 @@
 //! binary pins what they cost.
 
 use olab_core::fmtutil::{json_escape, validate_json};
-use olab_core::{
-    execute, execute_event_loop, execute_lean, fastpath, Experiment, LeanRun, Strategy,
-};
+use olab_core::{execute, execute_event_loop, execute_lean, fastpath, Experiment, Strategy};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
 use olab_parallel::ExecutionMode;
@@ -117,7 +116,7 @@ fn main() {
         warm.push(t.elapsed().as_nanos());
     }
 
-    // Executor-level path comparison: full results and lean (scalar-only)
+    // Executor-level path comparison: full results and lean (makespan-only)
     // results, through the fast path and through the event loop.
     execute(&workload, &machine).expect("workload runs");
     execute_lean(&workload, &machine).expect("workload runs");
@@ -140,10 +139,11 @@ fn main() {
         loop_full.push(t.elapsed().as_nanos());
 
         let t = Instant::now();
-        let full = execute_event_loop(&workload, &machine).expect("workload runs");
-        let lean = LeanRun::summarize(&full);
+        let e2e_s = execute_event_loop(&workload, &machine)
+            .expect("workload runs")
+            .e2e_s;
         loop_lean.push(t.elapsed().as_nanos());
-        assert!(lean.e2e_s > 0.0);
+        assert!(e2e_s > 0.0);
     }
     assert_eq!(
         fastpath::fast_runs() - fast_before,
@@ -151,10 +151,12 @@ fn main() {
         "the benchmark cell must be fast-path eligible on both fast runs"
     );
 
-    // Stage rows: the cell's one schedule build, the serialization pass
-    // and the whole cell.
+    // Stage rows: the cell's one schedule build, the serialization pass,
+    // the ideal leg and the whole cell.
+    let uncontended = machine.uncontended();
     let mut build = Vec::with_capacity(iters);
     let mut serialize = Vec::with_capacity(iters);
+    let mut ideal = Vec::with_capacity(iters);
     let mut run = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t = Instant::now();
@@ -162,6 +164,10 @@ fn main() {
             .timeline(ExecutionMode::Overlapped, policy)
             .expect("timeline builds");
         build.push(t.elapsed().as_nanos());
+
+        let t = Instant::now();
+        execute_lean(&overlapped, &uncontended).expect("ideal leg runs");
+        ideal.push(t.elapsed().as_nanos());
 
         let t = Instant::now();
         let sequential = overlapped.serialized();
@@ -186,7 +192,7 @@ fn main() {
     let commit = olab_bench::trend::current_commit();
 
     let json = format!(
-        "{{\n  \"bench\": \"cell_cost\",\n  \"commit\": \"{}\",\n  \"mode\": \"{}\",\n  \"cell\": \"{}\",\n  \"tasks\": {},\n  \"iters\": {},\n  \"median_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {},\n    \"schedule_build_overlapped\": {},\n    \"serialize_pass\": {},\n    \"experiment_run\": {}\n  }},\n  \"p99_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {},\n    \"schedule_build_overlapped\": {},\n    \"serialize_pass\": {},\n    \"experiment_run\": {}\n  }},\n  \"fast_path_speedup\": {:.2},\n  \"fast_path_full_speedup\": {:.2},\n  \"warm_arena_savings_frac\": {:.4}\n}}\n",
+        "{{\n  \"bench\": \"cell_cost\",\n  \"commit\": \"{}\",\n  \"mode\": \"{}\",\n  \"cell\": \"{}\",\n  \"tasks\": {},\n  \"iters\": {},\n  \"median_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {},\n    \"schedule_build_overlapped\": {},\n    \"serialize_pass\": {},\n    \"ideal_leg\": {},\n    \"experiment_run\": {}\n  }},\n  \"p99_ns\": {{\n    \"event_loop_cold_arena\": {},\n    \"event_loop_warm_arena\": {},\n    \"event_loop_full_stats\": {},\n    \"event_loop_lean\": {},\n    \"fast_path_full\": {},\n    \"fast_path_lean\": {},\n    \"schedule_build_overlapped\": {},\n    \"serialize_pass\": {},\n    \"ideal_leg\": {},\n    \"experiment_run\": {}\n  }},\n  \"fast_path_speedup\": {:.2},\n  \"fast_path_full_speedup\": {:.2},\n  \"warm_arena_savings_frac\": {:.4}\n}}\n",
         json_escape(&commit),
         mode,
         json_escape(&exp.label()),
@@ -200,6 +206,7 @@ fn main() {
         fast_lean_ns,
         median_ns(&build),
         median_ns(&serialize),
+        median_ns(&ideal),
         median_ns(&run),
         p99_ns(&cold),
         p99_ns(&warm),
@@ -209,6 +216,7 @@ fn main() {
         p99_ns(&fast_lean),
         p99_ns(&build),
         p99_ns(&serialize),
+        p99_ns(&ideal),
         p99_ns(&run),
         speedup,
         full_speedup,

@@ -13,7 +13,7 @@
 //!   and quantify exactly where the naive model breaks (the contention the
 //!   paper characterizes).
 
-use crate::executor::{run_result_from_trace, LeanGpuStats, LeanRun, RunResult};
+use crate::executor::{run_result_from_trace, RunResult};
 use crate::Machine;
 use olab_ccl::{lower, Algorithm, Collective, CommOp};
 use olab_gpu::{roofline, GpuSku};
@@ -144,9 +144,8 @@ const NONE: u32 = u32::MAX;
 
 /// The speculative solo-priced schedule of one fast-path-eligible cell:
 /// task intervals, per-(GPU, stream) interval lists ("lanes"), and the
-/// payload interning tables both output shapes — the full
-/// [`RunResult`] of [`execute_fast`] and the scalar-only
-/// [`LeanRun`](crate::LeanRun) of [`execute_fast_lean`] — price power from.
+/// payload interning tables the full [`RunResult`] of [`execute_fast`]
+/// prices power from. [`fast_makespan`] reads only its makespan.
 struct FastSchedule<'w> {
     start: Vec<f64>,
     end: Vec<f64>,
@@ -357,8 +356,8 @@ fn priced(
 
 /// Sweeps GPU `g`'s elementary power segments — every interval edge plus
 /// `[0, makespan)` coverage — pricing each with its co-resident set exactly
-/// as the engine prices an epoch, and feeding each `(start, end, watts)` to
-/// `emit`. Each lane's edge stream (start, end, start, end, …) is already
+/// as the engine prices an epoch, and appending each to `segments` under the
+/// engine's merge rule ([`push_power`]). Each lane's edge stream (start, end, start, end, …) is already
 /// non-decreasing — the queue serializes its tasks — so the segment
 /// boundaries come from a two-pointer merge of the two streams,
 /// deduplicated on the fly, instead of a sort.
@@ -368,7 +367,7 @@ fn sweep_power_segments(
     g: usize,
     bounds: &mut Vec<f64>,
     power_memo: &mut [f64],
-    mut emit: impl FnMut(f64, f64, f64),
+    segments: &mut Vec<PowerSegment>,
 ) {
     let compute_lane = &s.lanes[g][0];
     let comm_lane = &s.lanes[g][1];
@@ -432,7 +431,7 @@ fn sweep_power_segments(
             NONE
         };
         let watts = priced(s, machine, power_memo, g, kid, cid);
-        emit(t0, t1, watts);
+        push_power(segments, t0, t1, watts);
     }
 }
 
@@ -544,10 +543,14 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
             }
         }
 
-        let power = &mut activity.power;
-        sweep_power_segments(&s, machine, g, &mut bounds, &mut power_memo, |t0, t1, w| {
-            push_power(power, t0, t1, w);
-        });
+        sweep_power_segments(
+            &s,
+            machine,
+            g,
+            &mut bounds,
+            &mut power_memo,
+            &mut activity.power,
+        );
     }
 
     let has_overlap: Vec<bool> = gpus.iter().map(|a| !a.overlap_windows.is_empty()).collect();
@@ -570,131 +573,12 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
     Some(run_result_from_trace(trace, n_gpus))
 }
 
-/// Executes a fast-path-eligible workload analytically, producing only the
-/// scalar metrics of [`LeanRun`] — no task records, no power segments, no
-/// trace. Builds the same [`FastSchedule`] as [`execute_fast`] (so `e2e_s`
-/// is bit-identical to the full result's) and derives the scalars from its
-/// lanes: overlap window counts under the engine's merge rule, energy and
-/// peak via per-task draw where the streams never overlap and via the
-/// boundary sweep where they do, and co-activity per participant. Agrees
-/// with [`LeanRun::summarize`](crate::LeanRun::summarize) of the event
-/// loop's result to floating-point rounding (the differential suite in
-/// `olab-oracle` pins this). Returns `None` exactly when [`execute_fast`]
-/// would (the bail conditions are the same).
-///
-/// Average power is `energy / makespan`: the segments cover
-/// `[0, makespan]` per GPU, so the time-weighted average divides by the
-/// makespan exactly as [`olab_power::PowerTrace::average`] does.
-pub(crate) fn execute_fast_lean(workload: &Workload<Op>, machine: &Machine) -> Option<LeanRun> {
-    let n_gpus = workload.n_gpus();
-    let tasks = workload.tasks();
-
-    if tasks.is_empty() {
-        return Some(LeanRun {
-            e2e_s: 0.0,
-            gpus: vec![LeanGpuStats::default(); n_gpus],
-        });
-    }
-
-    let s = build_schedule(workload, machine)?;
-
-    let cslots = s.comm_interned.len() + 1;
-    let mut power_memo: Vec<f64> = vec![f64::NAN; (s.kernel_ops.len() + 1) * cslots];
-    let mut gpus: Vec<LeanGpuStats> = Vec::with_capacity(n_gpus);
-    let mut has_overlap = vec![false; n_gpus];
-    let mut bounds: Vec<f64> = Vec::new();
-    for (g, gpu_overlaps) in has_overlap.iter_mut().enumerate() {
-        let compute_lane = &s.lanes[g][0];
-        let comm_lane = &s.lanes[g][1];
-        let compute_s: f64 = compute_lane.iter().map(|&i| s.end[i] - s.start[i]).sum();
-        let comm_s: f64 = comm_lane.iter().map(|&i| s.end[i] - s.start[i]).sum();
-
-        // Window count under the engine's contiguity merge rule.
-        let mut overlap_windows = 0usize;
-        let mut last_end = f64::NEG_INFINITY;
-        let (mut i, mut j) = (0, 0);
-        while i < compute_lane.len() && j < comm_lane.len() {
-            let (a, b) = (compute_lane[i], comm_lane[j]);
-            let lo = s.start[a].max(s.start[b]);
-            let hi = s.end[a].min(s.end[b]);
-            if hi > lo {
-                if (last_end - lo).abs() >= 1e-12 {
-                    overlap_windows += 1;
-                }
-                last_end = hi;
-            }
-            if s.end[a] <= s.end[b] {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        *gpu_overlaps = overlap_windows > 0;
-
-        let (mut energy_j, mut peak_w) = (0.0f64, 0.0f64);
-        if overlap_windows == 0 {
-            for &t in compute_lane {
-                let w = priced(&s, machine, &mut power_memo, g, s.task_kernel[t], NONE);
-                energy_j += w * (s.end[t] - s.start[t]);
-                peak_w = peak_w.max(w);
-            }
-            for &t in comm_lane {
-                let w = priced(&s, machine, &mut power_memo, g, NONE, s.task_comm[t]);
-                energy_j += w * (s.end[t] - s.start[t]);
-                peak_w = peak_w.max(w);
-            }
-            let idle = s.makespan - compute_s - comm_s;
-            if idle > 0.0 {
-                let w = priced(&s, machine, &mut power_memo, g, NONE, NONE);
-                energy_j += w * idle;
-                peak_w = peak_w.max(w);
-            }
-        } else {
-            sweep_power_segments(&s, machine, g, &mut bounds, &mut power_memo, |t0, t1, w| {
-                energy_j += w * (t1 - t0);
-                peak_w = peak_w.max(w);
-            });
-        }
-
-        gpus.push(LeanGpuStats {
-            compute_s,
-            comm_s,
-            overlapped_compute_s: 0.0,
-            hidden_comm_s: 0.0,
-            average_power_w: if s.makespan > 0.0 {
-                energy_j / s.makespan
-            } else {
-                0.0
-            },
-            peak_power_w: peak_w,
-            energy_j,
-            overlap_windows,
-        });
-    }
-
-    // Co-activity, accumulated per (GPU, stream) exactly as the full
-    // statistics derivation does (each participant is credited the task's
-    // whole union measure).
-    if has_overlap.iter().any(|&h| h) {
-        let coactive = coactive_times(tasks, &s, &has_overlap);
-        for (i, task) in tasks.iter().enumerate() {
-            if coactive[i] == 0.0 {
-                continue;
-            }
-            for g in &task.participants {
-                let stats = &mut gpus[g.index()];
-                match task.stream {
-                    StreamKind::Compute => stats.overlapped_compute_s += coactive[i],
-                    StreamKind::Comm => stats.hidden_comm_s += coactive[i],
-                }
-            }
-        }
-    }
-
-    Some(LeanRun {
-        e2e_s: s.makespan,
-        gpus,
-    })
+/// The makespan of a fast-path-eligible workload — the [`FastSchedule`]'s
+/// own, so bit-identical to [`execute_fast`]'s `e2e_s` — or `None` exactly
+/// when [`execute_fast`] would return it (see [`build_schedule`]). Nothing
+/// else is priced: no power, no overlap windows, no co-activity.
+pub(crate) fn fast_makespan(workload: &Workload<Op>, machine: &Machine) -> Option<f64> {
+    build_schedule(workload, machine).map(|s| s.makespan)
 }
 
 /// A multiply-xor hasher (FxHash-style) for the payload-interning map: the

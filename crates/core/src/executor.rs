@@ -109,120 +109,15 @@ impl RunResult {
     }
 }
 
-/// Scalar per-GPU statistics of one run — the [`GpuRunStats`] quantities
-/// without the materialized power trace or window list.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LeanGpuStats {
-    /// Sum of compute-kernel durations, seconds.
-    pub compute_s: f64,
-    /// Sum of communication-task durations, seconds.
-    pub comm_s: f64,
-    /// Compute time co-active with communication, seconds (Eq. 2 numerator).
-    pub overlapped_compute_s: f64,
-    /// Communication time co-active with compute — the *hidden* comm time.
-    pub hidden_comm_s: f64,
-    /// Time-average power over the run, watts.
-    pub average_power_w: f64,
-    /// Peak instantaneous power, watts.
-    pub peak_power_w: f64,
-    /// Total energy over the run, joules.
-    pub energy_j: f64,
-    /// Number of merged overlap windows (both streams busy).
-    pub overlap_windows: usize,
-}
-
-/// Scalar-only output of executing one schedule: everything a metrics
-/// consumer reads from a [`RunResult`], with no trace, task records, or
-/// power segments behind it.
+/// Output of [`execute_lean`]: the makespan of one run and nothing else.
 ///
-/// Produced either by [`execute_lean`] (where the analytic fast path can
-/// compute these quantities directly, without materializing a trace at
-/// all — its cheapest mode) or from an existing full result via
-/// [`LeanRun::summarize`].
-#[derive(Debug, Clone, PartialEq)]
+/// The ideal leg of [`Experiment::run`](crate::Experiment::run) reports
+/// only the contention-free end-to-end time, so this is all the lean
+/// executor computes — no trace, task records, per-GPU statistics or power.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeanRun {
     /// End-to-end iteration time, seconds.
     pub e2e_s: f64,
-    /// Per-GPU scalar statistics.
-    pub gpus: Vec<LeanGpuStats>,
-}
-
-impl LeanRun {
-    /// Reduces a full [`RunResult`] to its scalar statistics. Each quantity
-    /// equals the corresponding [`RunResult`] / [`GpuRunStats`] accessor
-    /// bit-for-bit; the differential suite in `olab-oracle` pins that the
-    /// fast path's directly-computed [`execute_lean`] output agrees with
-    /// this reduction of the event loop's result.
-    pub fn summarize(full: &RunResult) -> LeanRun {
-        LeanRun {
-            e2e_s: full.e2e_s,
-            gpus: full
-                .gpus
-                .iter()
-                .map(|g| {
-                    let p = g.power.stats();
-                    LeanGpuStats {
-                        compute_s: g.compute_s,
-                        comm_s: g.comm_s,
-                        overlapped_compute_s: g.overlapped_compute_s,
-                        hidden_comm_s: g.hidden_comm_s,
-                        average_power_w: p.average_w,
-                        peak_power_w: p.peak_w,
-                        energy_j: p.energy_j,
-                        overlap_windows: g.overlap_windows.len(),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Total compute time across GPUs, seconds.
-    pub fn compute_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.compute_s).sum()
-    }
-
-    /// Total communication time across GPUs, seconds.
-    pub fn comm_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.comm_s).sum()
-    }
-
-    /// Total compute time co-active with communication, seconds.
-    pub fn overlapped_compute_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.overlapped_compute_s).sum()
-    }
-
-    /// Total hidden (co-active) communication time, seconds.
-    pub fn hidden_comm_s(&self) -> f64 {
-        self.gpus.iter().map(|g| g.hidden_comm_s).sum()
-    }
-
-    /// Eq. 2: fraction of compute time overlapped with communication.
-    pub fn overlap_ratio(&self) -> f64 {
-        let c = self.compute_s();
-        if c > 0.0 {
-            self.overlapped_compute_s() / c
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean over GPUs of the time-average power, watts.
-    pub fn average_power_w(&self) -> f64 {
-        if self.gpus.is_empty() {
-            return 0.0;
-        }
-        self.gpus.iter().map(|g| g.average_power_w).sum::<f64>() / self.gpus.len() as f64
-    }
-
-    /// Highest instantaneous draw across GPUs, watts.
-    pub fn peak_power_w(&self) -> f64 {
-        self.gpus.iter().map(|g| g.peak_power_w).fold(0.0, f64::max)
-    }
-
-    /// Total energy across GPUs, joules.
-    pub fn energy_j(&self) -> f64 {
-        self.gpus.iter().map(|g| g.energy_j).sum()
-    }
 }
 
 /// Runs a schedule on a machine.
@@ -260,15 +155,13 @@ pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, 
     result
 }
 
-/// Runs a schedule on a machine, producing only the scalar [`LeanRun`]
-/// metrics.
+/// Runs a schedule on a machine, producing only its makespan.
 ///
-/// This is the cheapest way to evaluate a cell when the caller needs
-/// numbers, not traces: a fast-path-eligible run computes the statistics in
-/// closed form without materializing task records or power segments at all,
-/// while an ineligible run falls back to the event loop and reduces its
-/// full result with [`LeanRun::summarize`]. Path routing and counters match
-/// [`execute`] exactly.
+/// A fast-path-eligible run reads the makespan straight off the closed-form
+/// schedule without pricing power or materializing task records; an
+/// ineligible run falls back to the event loop and keeps only its `e2e_s`.
+/// Both are bit-identical to [`execute`]'s `e2e_s` on the same inputs.
+/// Path routing and counters match [`execute`] exactly.
 ///
 /// # Errors
 ///
@@ -277,20 +170,20 @@ pub fn execute(workload: &Workload<Op>, machine: &Machine) -> Result<RunResult, 
 pub fn execute_lean(workload: &Workload<Op>, machine: &Machine) -> Result<LeanRun, SimError> {
     let start = olab_metrics::now_if_enabled();
     if crate::fastpath::machine_eligible(machine) {
-        if let Some(result) = crate::analytic::execute_fast_lean(workload, machine) {
+        if let Some(e2e_s) = crate::analytic::fast_makespan(workload, machine) {
             crate::fastpath::note_fast_run();
             let m = crate::fastpath::route_metrics();
             m.fast_lean.inc();
             m.fast_lean_ns.observe_since(start);
-            return Ok(result);
+            return Ok(LeanRun { e2e_s });
         }
     }
     crate::fastpath::note_event_loop_run();
-    let result = execute_model(workload, machine.clone())?;
+    let e2e_s = execute_model(workload, machine.clone())?.e2e_s;
     let m = crate::fastpath::route_metrics();
     m.event_loop_lean.inc();
     m.event_loop_lean_ns.observe_since(start);
-    Ok(LeanRun::summarize(&result))
+    Ok(LeanRun { e2e_s })
 }
 
 /// Runs a schedule on a machine through the event loop unconditionally,
@@ -472,15 +365,22 @@ mod tests {
         assert!(ovl.energy_j() > 0.0);
     }
 
-    /// The ideal leg of `Experiment::run` reads only `e2e_s` from the lean
-    /// result, so on both fast-path shapes of a cell — the overlapped
-    /// schedule on the uncontended machine and the sequential schedule on
-    /// the contended one — the lean makespan must equal the full result's
-    /// bit for bit, not merely within the differential suite's band.
+    /// The ideal leg of `Experiment::run` is the lean makespan, so on both
+    /// fast-path shapes of a cell — the overlapped schedule on the
+    /// uncontended machine and the sequential schedule on the contended
+    /// one — it must equal the full result's bit for bit, not merely within
+    /// the differential suite's band. The event-loop fallback (the jittered
+    /// ideal leg of `Experiment::run_jittered`) must equal the reference
+    /// engine's makespan, and an empty workload takes no time.
     #[test]
     fn lean_and_full_makespans_agree_bit_for_bit() {
-        use crate::{Experiment, Strategy};
+        use crate::{Experiment, Jitter, Strategy};
         use olab_gpu::SkuKind;
+
+        let jitter = Jitter {
+            seed: 7,
+            sigma: 0.05,
+        };
 
         let cells = [
             Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(128),
@@ -502,7 +402,7 @@ mod tests {
             ] {
                 let w = exp.timeline(mode, policy).expect("timeline builds");
                 assert!(
-                    crate::analytic::execute_fast_lean(&w, &m).is_some(),
+                    crate::analytic::fast_makespan(&w, &m).is_some(),
                     "{} {mode:?}: the fast path must serve this shape",
                     exp.label()
                 );
@@ -515,6 +415,28 @@ mod tests {
                     exp.label()
                 );
             }
+
+            let jittered = machine.with_jitter(jitter).uncontended();
+            assert!(!crate::fastpath::machine_eligible(&jittered));
+            let w = exp
+                .timeline(ExecutionMode::Overlapped, policy)
+                .expect("timeline builds");
+            let lean = execute_lean(&w, &jittered).expect("lean runs").e2e_s;
+            let reference = execute_event_loop(&w, &jittered)
+                .expect("reference runs")
+                .e2e_s;
+            assert_eq!(
+                lean.to_bits(),
+                reference.to_bits(),
+                "{} jittered: lean {lean} vs event loop {reference}",
+                exp.label()
+            );
+        }
+
+        let empty = Workload::<Op>::new(4);
+        let stock = Machine::stock(GpuSku::h100(), 4);
+        for m in [stock.clone(), stock.with_jitter(jitter)] {
+            assert_eq!(execute_lean(&empty, &m).expect("empty runs").e2e_s, 0.0);
         }
     }
 }

@@ -57,7 +57,7 @@ pub(crate) fn route_metrics() -> &'static RouteMetrics {
         fast_lean: counter(
             "olab_core_route_fast_lean_total",
             Determinism::CrossRun,
-            "Cells served by the analytic fast path with lean (scalar) statistics.",
+            "Cells served by the analytic fast path, makespan only.",
         ),
         event_loop_full: counter(
             "olab_core_route_event_loop_full_total",
@@ -67,7 +67,7 @@ pub(crate) fn route_metrics() -> &'static RouteMetrics {
         event_loop_lean: counter(
             "olab_core_route_event_loop_lean_total",
             Determinism::CrossRun,
-            "Cells that fell back to the event loop with lean (scalar) statistics.",
+            "Cells that fell back to the event loop, makespan only.",
         ),
         fast_full_ns: olab_metrics::histogram(
             "olab_core_cell_fast_full_ns",
@@ -75,7 +75,7 @@ pub(crate) fn route_metrics() -> &'static RouteMetrics {
         ),
         fast_lean_ns: olab_metrics::histogram(
             "olab_core_cell_fast_lean_ns",
-            "Cell latency through the fast path, lean statistics.",
+            "Cell latency through the fast path, makespan only.",
         ),
         event_loop_full_ns: olab_metrics::histogram(
             "olab_core_cell_event_loop_full_ns",
@@ -83,7 +83,7 @@ pub(crate) fn route_metrics() -> &'static RouteMetrics {
         ),
         event_loop_lean_ns: olab_metrics::histogram(
             "olab_core_cell_event_loop_lean_ns",
-            "Cell latency through the event loop, lean statistics.",
+            "Cell latency through the event loop, makespan only.",
         ),
     })
 }

@@ -64,7 +64,7 @@ pub use chrome_trace::{
 };
 pub use executor::{
     execute, execute_event_loop, execute_lean, execute_model, execute_model_observed,
-    execute_observed, GpuRunStats, LeanGpuStats, LeanRun, RunResult,
+    execute_observed, GpuRunStats, LeanRun, RunResult,
 };
 pub use experiment::{Experiment, ExperimentError, ExperimentReport, MultiRunStats, Strategy};
 pub use fastpath::{CellClassifier, FastPathDecision};

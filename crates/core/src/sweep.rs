@@ -366,23 +366,17 @@ impl GridJob for Experiment {
         )
     }
 
-    /// Cost class for the capped disk cache: cells the analytic fast path
-    /// can serve are microseconds to recompute (`Cheap`), everything the
-    /// event loop must re-simulate is `Expensive`, and a cell that fails
-    /// validation caches only a tiny error record (`Cheap`). The
-    /// classification is a pure function of the cell, so the eviction
-    /// order it feeds stays schedule-independent.
+    /// Cost class for the capped disk cache: always `Cheap`. A cell that
+    /// fails validation caches only a tiny error record. A feasible cell
+    /// runs on the stock machine (no jitter, no frequency caps) and its
+    /// schedule builders emit only backward dependencies and payloads that
+    /// match their streams, so the static rules of
+    /// [`CellClassifier`](crate::CellClassifier) call every one eligible —
+    /// the `Cheap` class — and building its schedule on each disk insert
+    /// to ask would change nothing. A constant is trivially a pure function
+    /// of the cell, so the eviction order stays schedule-independent.
     fn cost_hint(&self) -> CacheCost {
-        let Ok(policy) = self.validate() else {
-            return CacheCost::Cheap;
-        };
-        let Ok(workload) = self.timeline(olab_parallel::ExecutionMode::Overlapped, policy) else {
-            return CacheCost::Cheap;
-        };
-        match crate::CellClassifier::classify(&workload, &self.machine(), false) {
-            crate::FastPathDecision::Eligible => CacheCost::Cheap,
-            _ => CacheCost::Expensive,
-        }
+        CacheCost::Cheap
     }
 }
 
