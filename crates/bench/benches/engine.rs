@@ -8,7 +8,7 @@ use olab_sim::{ConstantRate, Engine, GpuId, StreamKind, TaskSpec, Workload};
 fn chain_workload(n: usize) -> Workload<()> {
     let mut w = Workload::new(1);
     for i in 0..n {
-        let mut spec = TaskSpec::compute(format!("t{i}"), GpuId(0), ());
+        let mut spec = TaskSpec::compute(olab_sim::label!("t{}", i), GpuId(0), ());
         if i > 0 {
             spec.deps.push(olab_sim::TaskId((i - 1) as u32));
         }
@@ -23,14 +23,14 @@ fn mixed_workload(n: usize) -> Workload<()> {
     for i in 0..n {
         if i % 10 == 9 {
             w.push(TaskSpec::new(
-                format!("coll{i}"),
-                (0..8).map(GpuId).collect(),
+                olab_sim::label!("coll{}", i),
+                (0..8).map(GpuId).collect::<Vec<_>>(),
                 StreamKind::Comm,
                 (),
             ));
         } else {
             w.push(TaskSpec::compute(
-                format!("k{i}"),
+                olab_sim::label!("k{}", i),
                 GpuId((i % 8) as u16),
                 (),
             ));

@@ -12,7 +12,7 @@ use olab_core::report::{pct, Table};
 use olab_core::{execute, Machine};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_parallel::{ComputeOp, Op};
-use olab_sim::{GpuId, StreamKind, TaskSpec, Workload};
+use olab_sim::{label, GpuId, StreamKind, TaskSpec, Workload};
 
 fn main() {
     let sku = GpuSku::h100();
@@ -46,7 +46,7 @@ fn main() {
         for g in 0..4u16 {
             for r in 0..4 {
                 w.push(TaskSpec::compute(
-                    format!("gemm.g{g}.r{r}"),
+                    label!("gemm.g{}.r{}", g, r),
                     GpuId(g),
                     gemm.clone(),
                 ));
@@ -66,7 +66,7 @@ fn main() {
     for g in 0..4u16 {
         for r in 0..4 {
             baseline.push(TaskSpec::compute(
-                format!("gemm.g{g}.r{r}"),
+                label!("gemm.g{}.r{}", g, r),
                 GpuId(g),
                 gemm.clone(),
             ));

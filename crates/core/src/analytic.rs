@@ -271,6 +271,7 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
     let mut start = vec![0.0f64; n];
     let mut end = vec![0.0f64; n];
     let mut queue_last = vec![0.0f64; n_gpus * 2];
+    let contended = machine.is_contended();
     for (i, task) in tasks.iter().enumerate() {
         let mut t = 0.0f64;
         for dep in &task.deps {
@@ -288,8 +289,18 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
         start[i] = t;
         end[i] = t + duration;
         for g in &task.participants {
+            let lane = &mut lanes[g.index()];
+            // Early out: overlapping the other stream's latest task is a
+            // co-residency the final check below would reject anyway.
+            if contended {
+                if let Some(&j) = lane[task.stream.other().index()].last() {
+                    if end[i].min(end[j]) > start[i].max(start[j]) {
+                        return None;
+                    }
+                }
+            }
             queue_last[g.index() * 2 + task.stream.index()] = end[i];
-            lanes[g.index()][task.stream.index()].push(i);
+            lane[task.stream.index()].push(i);
         }
     }
     let makespan = end.iter().copied().fold(0.0f64, f64::max);
@@ -301,7 +312,9 @@ fn build_schedule<'w>(workload: &'w Workload<Op>, machine: &Machine) -> Option<F
 
     // A posteriori validation: on a contended machine any compute/comm
     // co-residency invalidates solo pricing — fall back to the event loop.
-    if machine.is_contended() {
+    // The early out above catches most such schedules while they are
+    // built; this catches overlaps with earlier tasks of the other lane.
+    if contended {
         for lane in &lanes {
             if lanes_intersect(&lane[0], &lane[1], &start, &end) {
                 return None;
@@ -561,7 +574,7 @@ pub(crate) fn execute_fast(workload: &Workload<Op>, machine: &Machine) -> Option
         .enumerate()
         .map(|(i, spec)| TaskRecord {
             id: TaskId(i as u32),
-            label: spec.label.clone(),
+            label: spec.label,
             participants: spec.participants.clone(),
             stream: spec.stream,
             start: SimTime::from_secs(s.start[i]),
@@ -704,6 +717,25 @@ mod tests {
         );
         let est = estimate_fsdp(&plan, &machine.config().sku, &machine.config().topology);
         (est, exp.run().unwrap())
+    }
+
+    #[test]
+    fn contended_overlap_bails_and_its_serialization_still_builds() {
+        let exp =
+            Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(128);
+        let policy = exp.validate().unwrap();
+        let machine = exp.machine();
+        assert!(machine.is_contended());
+        let overlapped = exp
+            .timeline(olab_parallel::ExecutionMode::Overlapped, policy)
+            .unwrap();
+        assert!(
+            build_schedule(&overlapped, &machine).is_none(),
+            "co-resident compute and comm need the event loop"
+        );
+        let sequential = overlapped.serialized();
+        let schedule = build_schedule(&sequential, &machine).expect("no co-residency");
+        assert!(schedule.makespan > 0.0);
     }
 
     #[test]

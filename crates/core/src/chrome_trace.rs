@@ -75,7 +75,7 @@ pub fn to_chrome_trace_full(
                 out,
                 "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \
                  \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": {}, \"tid\": {}}}",
-                escape(&record.label),
+                escape(&record.label.to_string()),
                 record.stream,
                 record.start.as_micros(),
                 record.duration().as_micros(),

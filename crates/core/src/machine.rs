@@ -491,7 +491,7 @@ mod tests {
         if with_comm {
             w.push(TaskSpec::new(
                 "ar",
-                (0..4).map(GpuId).collect(),
+                (0..4).map(GpuId).collect::<Vec<_>>(),
                 StreamKind::Comm,
                 allreduce_op(machine, 1 << 30),
             ));
@@ -547,7 +547,7 @@ mod tests {
         w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            (0..4).map(GpuId).collect::<Vec<_>>(),
             StreamKind::Comm,
             allreduce_op(&m, 1 << 30),
         ));
@@ -618,7 +618,7 @@ mod tests {
         w.push(TaskSpec::compute("gemm", GpuId(0), gemm_op()));
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            (0..4).map(GpuId).collect::<Vec<_>>(),
             StreamKind::Comm,
             allreduce_op(&m, 1 << 30),
         ));
@@ -696,7 +696,7 @@ mod tests {
             if with_comm {
                 w.push(TaskSpec::new(
                     "ar",
-                    (0..4).map(GpuId).collect(),
+                    (0..4).map(GpuId).collect::<Vec<_>>(),
                     StreamKind::Comm,
                     allreduce_op(&m, 1 << 30),
                 ));
@@ -737,7 +737,7 @@ mod tests {
             }
             let id = w.push(TaskSpec::new(
                 "ar",
-                (0..4).map(GpuId).collect(),
+                (0..4).map(GpuId).collect::<Vec<_>>(),
                 StreamKind::Comm,
                 allreduce_op(&m, 1 << 30),
             ));
@@ -755,7 +755,7 @@ mod tests {
         let mut w = Workload::new(4);
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            (0..4).map(GpuId).collect::<Vec<_>>(),
             StreamKind::Comm,
             op,
         ));

@@ -6,7 +6,7 @@ use crate::{execute, Machine};
 use olab_ccl::{lower, Algorithm, Collective};
 use olab_gpu::{Datapath, Precision, SkuKind};
 use olab_parallel::{ComputeOp, Op};
-use olab_sim::{GpuId, SimError, StreamKind, TaskSpec, Workload};
+use olab_sim::{label, GpuId, SimError, StreamKind, TaskSpec, Workload};
 
 /// Result of one microbenchmark point.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +66,7 @@ pub fn gemm_vs_allreduce(
         for g in 0..n_gpus as u16 {
             for r in 0..reps {
                 w.push(TaskSpec::compute(
-                    format!("gemm{n}.r{r}.g{g}"),
+                    label!("gemm{}.r{}.g{}", n, r, g),
                     GpuId(g),
                     gemm.clone(),
                 ));

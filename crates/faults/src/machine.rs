@@ -24,8 +24,9 @@ use olab_ccl::{adjudicate, relower_degraded, CommOp, FailAction, WatchdogVerdict
 use olab_core::Machine;
 use olab_net::{ring_links, Link};
 use olab_parallel::Op;
-use olab_sim::{GpuCounters, RateModel, RunningTask, TaskId};
-use std::collections::{HashMap, HashSet};
+use olab_sim::{GpuCounters, Label, RateModel, RunningTask, TaskId};
+use std::collections::HashMap;
+use std::io::Write as _;
 
 /// Progress rate of a stalled task: effectively zero, but positive so the
 /// engine's invariants hold (the epoch is bounded by the next watchdog
@@ -112,7 +113,12 @@ pub struct FaultyMachine {
     timeline: FaultTimeline,
     n_gpus: usize,
     states: HashMap<TaskId, CommState>,
-    ecc_counted: HashSet<TaskId>,
+    /// The ECC verdict of each task id seen so far: the hash is fixed per
+    /// task, so a kernel's label is rendered, and a selected kernel
+    /// counted, once rather than every epoch it runs.
+    ecc_verdicts: Vec<Option<bool>>,
+    /// Reused buffer the hash input is rendered into.
+    ecc_bytes: Vec<u8>,
     /// Links whose communicator has already been rebuilt: later collectives
     /// crossing them degrade immediately instead of re-paying the watchdog.
     rebuilt: Vec<Link>,
@@ -129,7 +135,8 @@ impl FaultyMachine {
             timeline,
             n_gpus,
             states: HashMap::new(),
-            ecc_counted: HashSet::new(),
+            ecc_verdicts: Vec::new(),
+            ecc_bytes: Vec::new(),
             rebuilt: Vec::new(),
             stats: FaultStats::default(),
             abort: None,
@@ -152,17 +159,30 @@ impl FaultyMachine {
     }
 
     /// Whether the ECC model selects this kernel, by pure hash of
-    /// `(seed, task id, label)` — stable under any epoch interleaving.
-    fn ecc_selects(&self, id: TaskId, label: &str) -> bool {
+    /// `(seed, task id, rendered label)` — stable under any epoch
+    /// interleaving. Decided once per task and cached; a selected kernel
+    /// is counted in [`FaultStats::ecc_kernels`] when it is decided.
+    fn ecc_selects(&mut self, id: TaskId, label: Label) -> bool {
         if self.timeline.ecc.rate <= 0.0 {
             return false;
         }
-        let mut bytes = Vec::with_capacity(label.len() + 12);
+        let slot = id.index();
+        if self.ecc_verdicts.len() <= slot {
+            self.ecc_verdicts.resize(slot + 1, None);
+        }
+        if let Some(verdict) = self.ecc_verdicts[slot] {
+            return verdict;
+        }
+        let bytes = &mut self.ecc_bytes;
+        bytes.clear();
         bytes.extend_from_slice(&self.timeline.ecc.seed.to_le_bytes());
         bytes.extend_from_slice(&id.0.to_le_bytes());
-        bytes.extend_from_slice(label.as_bytes());
-        let hash = olab_grid::fnv1a_64(&bytes);
-        (hash as f64 / u64::MAX as f64) < self.timeline.ecc.rate
+        write!(bytes, "{label}").expect("rendering into a Vec cannot fail");
+        let hash = olab_grid::fnv1a_64(bytes);
+        let verdict = (hash as f64 / u64::MAX as f64) < self.timeline.ecc.rate;
+        self.ecc_verdicts[slot] = Some(verdict);
+        self.stats.ecc_kernels += u32::from(verdict);
+        verdict
     }
 
     /// Rate factor for a collective re-lowered around `dead`: the ratio of
@@ -180,7 +200,7 @@ impl FaultyMachine {
         &mut self,
         now: f64,
         id: TaskId,
-        label: &str,
+        label: Label,
         participants: &[olab_sim::GpuId],
         op: &CommOp,
     ) -> Option<f64> {
@@ -359,9 +379,6 @@ impl RateModel for FaultyMachine {
             match task.payload {
                 Op::Compute(_) => {
                     if self.ecc_selects(task.id, task.label) {
-                        if self.ecc_counted.insert(task.id) {
-                            self.stats.ecc_kernels += 1;
-                        }
                         // Duration gains the fixed retry latency:
                         // 1/r' = 1/r + retry_s.
                         let r = rates[i];
@@ -470,7 +487,7 @@ mod tests {
         let mut w = Workload::new(4);
         w.push(TaskSpec::new(
             "ar",
-            (0..4).map(GpuId).collect(),
+            (0..4).map(GpuId).collect::<Vec<_>>(),
             StreamKind::Comm,
             allreduce(machine, 1 << 28),
         ));

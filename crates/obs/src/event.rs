@@ -7,7 +7,7 @@
 //! straight into a buffer with [`to_jsonl`]).
 
 use olab_core::fmtutil::json_escape;
-use olab_sim::GpuId;
+use olab_sim::{GpuId, Label};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -23,7 +23,7 @@ pub enum ObsEvent<'a> {
         /// Task id within the workload.
         id: u64,
         /// Task label.
-        label: &'a str,
+        label: Label,
         /// Participating GPUs.
         gpus: &'a [GpuId],
     },
@@ -34,7 +34,7 @@ pub enum ObsEvent<'a> {
         /// Task id within the workload.
         id: u64,
         /// Task label.
-        label: &'a str,
+        label: Label,
         /// Participating GPUs.
         gpus: &'a [GpuId],
     },
@@ -45,7 +45,7 @@ pub enum ObsEvent<'a> {
         /// Task id within the workload.
         id: u64,
         /// Collective label.
-        label: &'a str,
+        label: Label,
         /// Participating GPUs.
         gpus: &'a [GpuId],
     },
@@ -56,7 +56,7 @@ pub enum ObsEvent<'a> {
         /// Task id within the workload.
         id: u64,
         /// Collective label.
-        label: &'a str,
+        label: Label,
         /// Participating GPUs.
         gpus: &'a [GpuId],
     },
@@ -302,7 +302,7 @@ pub fn to_jsonl(event: &ObsEvent<'_>) -> String {
             let _ = write!(
                 out,
                 ", \"t_s\": {t_s:.6}, \"id\": {id}, \"label\": \"{}\"",
-                json_escape(label)
+                json_escape(&label.to_string())
             );
             gpu_list(&mut out, gpus);
         }
@@ -582,13 +582,13 @@ mod tests {
             ObsEvent::TaskStart {
                 t_s: 0.0,
                 id: 0,
-                label: "fwd \"L0\"",
+                label: "fwd \"L0\"".into(),
                 gpus,
             },
             ObsEvent::CollectiveStart {
                 t_s: 0.25,
                 id: 1,
-                label: "ag L1",
+                label: "ag L1".into(),
                 gpus,
             },
             ObsEvent::DvfsTransition {
@@ -690,7 +690,7 @@ mod tests {
         let line = to_jsonl(&ObsEvent::TaskStart {
             t_s: 0.0,
             id: 9,
-            label: "fwd \"block\"",
+            label: "fwd \"block\"".into(),
             gpus: &[],
         });
         validate_json(&line).expect("escaped label must stay valid JSON");

@@ -12,7 +12,7 @@
 //! changes between epochs, a [`ObsEvent::DvfsTransition`] is emitted.
 
 use crate::event::{EventBus, ObsEvent};
-use olab_sim::{EngineObserver, GpuCounters, GpuId, StreamKind, TaskId};
+use olab_sim::{EngineObserver, GpuCounters, GpuId, Label, StreamKind, TaskId};
 
 /// One maximal run of engine epochs with identical per-GPU counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +65,7 @@ impl EngineObserver for Recorder {
         &mut self,
         now_s: f64,
         id: TaskId,
-        label: &str,
+        label: Label,
         participants: &[GpuId],
         stream: StreamKind,
     ) {
@@ -90,7 +90,7 @@ impl EngineObserver for Recorder {
         &mut self,
         now_s: f64,
         id: TaskId,
-        label: &str,
+        label: Label,
         participants: &[GpuId],
         stream: StreamKind,
     ) {
@@ -214,10 +214,10 @@ mod tests {
     fn task_edges_route_by_stream_kind() {
         let (mut rec, buf) = recorder_with_log();
         let gpus = [GpuId(0)];
-        rec.on_task_start(0.0, TaskId(0), "gemm", &gpus, StreamKind::Compute);
-        rec.on_task_start(0.0, TaskId(1), "ar", &gpus, StreamKind::Comm);
-        rec.on_task_end(1.0, TaskId(0), "gemm", &gpus, StreamKind::Compute);
-        rec.on_task_end(2.0, TaskId(1), "ar", &gpus, StreamKind::Comm);
+        rec.on_task_start(0.0, TaskId(0), "gemm".into(), &gpus, StreamKind::Compute);
+        rec.on_task_start(0.0, TaskId(1), "ar".into(), &gpus, StreamKind::Comm);
+        rec.on_task_end(1.0, TaskId(0), "gemm".into(), &gpus, StreamKind::Compute);
+        rec.on_task_end(2.0, TaskId(1), "ar".into(), &gpus, StreamKind::Comm);
         let text = buf.borrow();
         let kinds: Vec<&str> = text
             .lines()

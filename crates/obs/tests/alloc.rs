@@ -38,14 +38,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn emitting_to_an_empty_bus_allocates_nothing() {
     let mut bus = EventBus::new();
     let gpus = [GpuId(0), GpuId(1), GpuId(2), GpuId(3)];
-    let label = String::from("all_gather layer7"); // allocated before measuring
+    let label = olab_sim::label!("all_gather layer{}", 7);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for i in 0..10_000u64 {
         bus.emit(&ObsEvent::CollectiveStart {
             t_s: i as f64 * 1e-3,
             id: i,
-            label: &label,
+            label,
             gpus: &gpus,
         });
         bus.emit(&ObsEvent::DvfsTransition {
@@ -57,7 +57,7 @@ fn emitting_to_an_empty_bus_allocates_nothing() {
         bus.emit(&ObsEvent::CollectiveEnd {
             t_s: i as f64 * 1e-3,
             id: i,
-            label: &label,
+            label,
             gpus: &gpus,
         });
     }

@@ -8,7 +8,7 @@
 use olab_core::{Experiment, Strategy};
 use olab_gpu::SkuKind;
 use olab_models::ModelPreset;
-use olab_sim::{GpuId, SeededRng, TaskSpec, Workload};
+use olab_sim::{label, GpuId, Label, SeededRng, TaskSpec, Workload};
 
 /// A small facade over [`SeededRng`] with the draws generators need.
 #[derive(Debug)]
@@ -72,7 +72,7 @@ impl Gen {
 #[derive(Debug, Clone)]
 pub struct PlannedTask {
     /// Display label, `t{index}`.
-    pub label: String,
+    pub label: Label,
     /// Owning GPUs: one for compute/local comm, two or more for collectives.
     pub participants: Vec<GpuId>,
     /// True for comm-stream tasks (local copies and collectives).
@@ -99,11 +99,11 @@ impl WorkloadPlan {
         let mut ids = Vec::with_capacity(self.tasks.len());
         for task in &self.tasks {
             let spec = if task.participants.len() > 1 {
-                TaskSpec::collective(task.label.clone(), task.participants.clone(), ())
+                TaskSpec::collective(task.label, task.participants.clone(), ())
             } else if task.comm {
-                TaskSpec::comm(task.label.clone(), task.participants[0], ())
+                TaskSpec::comm(task.label, task.participants[0], ())
             } else {
-                TaskSpec::compute(task.label.clone(), task.participants[0], ())
+                TaskSpec::compute(task.label, task.participants[0], ())
             };
             let spec = spec.after_all(task.deps.iter().map(|&d| ids[d]));
             ids.push(w.push(spec));
@@ -154,7 +154,7 @@ pub fn random_plan(seed: u64) -> WorkloadPlan {
             }
         }
         tasks.push(PlannedTask {
-            label: format!("t{i}"),
+            label: label!("t{}", i),
             participants,
             comm,
             deps,

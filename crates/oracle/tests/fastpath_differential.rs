@@ -155,7 +155,7 @@ impl EngineObserver for CountingObserver {
         &mut self,
         _now_s: f64,
         _id: olab_sim::TaskId,
-        _label: &str,
+        _label: olab_sim::Label,
         _participants: &[olab_sim::GpuId],
         _stream: olab_sim::StreamKind,
     ) {

@@ -1,7 +1,8 @@
 //! Schedule construction.
 
 use crate::{ExecutionMode, Op};
-use olab_sim::{TaskId, TaskSpec, Workload};
+use olab_gpu::KernelKind;
+use olab_sim::{GpuId, Label, TaskId, TaskSpec, Workload, MAX_LABEL_ARGS};
 
 /// Builds a [`Workload`] of [`Op`]s in program order.
 ///
@@ -35,6 +36,44 @@ impl ScheduleBuilder {
     /// Pushes a task in program order.
     pub fn push(&mut self, spec: TaskSpec<Op>) -> TaskId {
         self.workload.push(spec)
+    }
+
+    /// Pushes one kernel sequence on the compute stream of every GPU in
+    /// `gpus`, GPU by GPU, and returns the last task per GPU. The first
+    /// kernel on each GPU depends on `first_deps`.
+    ///
+    /// Kernel `ki` on GPU `g` is labelled by `template`, whose holes take
+    /// `prefix`, then `ki`, then `g`'s index: `"st{}.L{}.f.k{}.gpu{}"` with
+    /// prefix `[0, 3]` labels kernel 2 on GPU 1 `st0.L3.f.k2.gpu1`.
+    pub fn push_kernels(
+        &mut self,
+        template: &'static str,
+        prefix: &[u32],
+        gpus: &[GpuId],
+        kernels: &[KernelKind],
+        first_deps: &[TaskId],
+        op: impl Fn(&KernelKind) -> Op,
+    ) -> Vec<TaskId> {
+        let (ki_at, gpu_at) = (prefix.len(), prefix.len() + 1);
+        debug_assert_eq!(Label::holes(template), gpu_at + 1, "{template}");
+        let mut args = [0; MAX_LABEL_ARGS];
+        args[..ki_at].copy_from_slice(prefix);
+        let mut last = Vec::with_capacity(gpus.len());
+        for &gpu in gpus {
+            args[gpu_at] = u32::from(gpu.0);
+            let mut id = None;
+            for (ki, k) in kernels.iter().enumerate() {
+                args[ki_at] = ki as u32;
+                let mut spec =
+                    TaskSpec::compute(Label::new(template, &args[..=gpu_at]), gpu, op(k));
+                if ki == 0 {
+                    spec.deps.extend_from_slice(first_deps);
+                }
+                id = Some(self.push(spec));
+            }
+            last.push(id.unwrap_or(TaskId(0)));
+        }
+        last
     }
 
     /// Finishes construction, serializing the schedule in

@@ -30,7 +30,7 @@ use olab_gpu::{Datapath, GpuSku, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{ops, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{label, GpuId, Label, Participants, TaskId, TaskSpec, Workload};
 
 /// Which communication classes may overlap compute (overlapped mode only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +165,8 @@ pub fn fsdp_timeline(
     assert!(topo.n_gpus() >= plan.ranks, "topology too small");
 
     let n = plan.ranks;
-    let group: Vec<GpuId> = (0..n as u16).map(GpuId).collect();
+    let gpus: Vec<GpuId> = (0..n as u16).map(GpuId).collect();
+    let group = Participants::from(gpus.clone());
     let layers = plan.model.layers as usize;
     let mut b = ScheduleBuilder::new(n, mode);
 
@@ -175,32 +176,18 @@ pub fn fsdp_timeline(
         let algo = Algorithm::auto_for(c.kind, c.bytes, &c.group, topo);
         Op::Comm(lower(&c, algo, sku, topo, plan.precision))
     };
+    let layer_bytes = plan.layer_bytes();
+    let all_gather = |label: Label| {
+        TaskSpec::collective(
+            label,
+            group.clone(),
+            collective_op(Collective::all_gather(layer_bytes, gpus.clone())),
+        )
+    };
 
     let layer = ops::layer_kernels(&plan.model, plan.batch_per_rank, plan.seq);
     let head = ops::head_kernels(&plan.model, plan.batch_per_rank, plan.seq);
     let emb = ops::embedding_kernels(&plan.model, plan.batch_per_rank, plan.seq);
-    let layer_bytes = plan.layer_bytes();
-
-    // Pushes one kernel sequence on every rank's compute stream; returns the
-    // last task per rank.
-    let push_kernels = |b: &mut ScheduleBuilder,
-                        label: &str,
-                        kernels: &[olab_gpu::KernelKind],
-                        first_deps: &[TaskId]|
-     -> Vec<TaskId> {
-        let mut last = vec![TaskId(0); n];
-        for (g, gpu) in group.iter().enumerate() {
-            for (ki, k) in kernels.iter().enumerate() {
-                let mut spec =
-                    TaskSpec::compute(format!("{label}.k{ki}.{gpu}"), *gpu, compute_op(k));
-                if ki == 0 {
-                    spec.deps.extend_from_slice(first_deps);
-                }
-                last[g] = b.push(spec);
-            }
-        }
-        last
-    };
 
     let bwd_kernels: Vec<olab_gpu::KernelKind> = match plan.activation_policy {
         ActivationPolicy::Full => layer.backward.clone(),
@@ -215,10 +202,16 @@ pub fn fsdp_timeline(
 
     for step in 0..plan.grad_accum_steps {
         let is_last_step = step + 1 == plan.grad_accum_steps;
-        let tag = |s: &str| format!("st{step}.{s}");
 
         // ---- Forward pass ----
-        let _ = push_kernels(&mut b, &tag("emb.f"), &emb, &[]);
+        let _ = b.push_kernels(
+            "st{}.emb.f.k{}.gpu{}",
+            &[step],
+            &gpus,
+            &emb,
+            &[],
+            compute_op,
+        );
 
         let mut ag_f: Vec<TaskId> = Vec::with_capacity(layers);
         let mut f_last: Vec<Vec<TaskId>> = Vec::with_capacity(layers);
@@ -227,11 +220,7 @@ pub fn fsdp_timeline(
             // is done (so it runs while layer i-1 computes), keeping at most
             // two layers unsharded. Without prefetch, AG(i) waits for layer
             // i-1 and is fully exposed.
-            let mut spec = TaskSpec::collective(
-                tag(&format!("ag.f.L{i}")),
-                group.clone(),
-                collective_op(Collective::all_gather(layer_bytes, group.clone())),
-            );
+            let mut spec = all_gather(label!("st{}.ag.f.L{}", step, i));
             let lookback = if plan.overlap.prefetch_all_gather {
                 2
             } else {
@@ -242,22 +231,39 @@ pub fn fsdp_timeline(
             }
             ag_f.push(b.push(spec));
 
-            let last = push_kernels(&mut b, &tag(&format!("L{i}.f")), &layer.forward, &[ag_f[i]]);
+            let last = b.push_kernels(
+                "st{}.L{}.f.k{}.gpu{}",
+                &[step, i as u32],
+                &gpus,
+                &layer.forward,
+                &[ag_f[i]],
+                compute_op,
+            );
             f_last.push(last);
         }
 
         // LM head (local, unsharded in this model) forward + backward.
-        let head_f_last = push_kernels(&mut b, &tag("head.f"), &head.forward, &[]);
-        let head_b_last = push_kernels(&mut b, &tag("head.b"), &head.backward, &[]);
+        let head_f_last = b.push_kernels(
+            "st{}.head.f.k{}.gpu{}",
+            &[step],
+            &gpus,
+            &head.forward,
+            &[],
+            compute_op,
+        );
+        let head_b_last = b.push_kernels(
+            "st{}.head.b.k{}.gpu{}",
+            &[step],
+            &gpus,
+            &head.backward,
+            &[],
+            compute_op,
+        );
 
         // ---- Backward pass ----
         let mut ag_b: Vec<Option<TaskId>> = vec![None; layers];
         {
-            let mut spec = TaskSpec::collective(
-                tag(&format!("ag.b.L{}", layers - 1)),
-                group.clone(),
-                collective_op(Collective::all_gather(layer_bytes, group.clone())),
-            );
+            let mut spec = all_gather(label!("st{}.ag.b.L{}", step, layers - 1));
             spec.deps.extend(head_f_last.iter().copied());
             ag_b[layers - 1] = Some(b.push(spec));
         }
@@ -267,11 +273,7 @@ pub fn fsdp_timeline(
         for i in (0..layers).rev() {
             // Prefetch the re-gather of layer i-1 while layer i runs backward.
             if i > 0 {
-                let mut spec = TaskSpec::collective(
-                    tag(&format!("ag.b.L{}", i - 1)),
-                    group.clone(),
-                    collective_op(Collective::all_gather(layer_bytes, group.clone())),
-                );
+                let mut spec = all_gather(label!("st{}.ag.b.L{}", step, i - 1));
                 let anchor: &[TaskId] = if plan.overlap.prefetch_all_gather {
                     if i + 1 < layers {
                         &b_last[i + 1]
@@ -295,14 +297,21 @@ pub fn fsdp_timeline(
                     first_deps.push(rs);
                 }
             }
-            let last = push_kernels(&mut b, &tag(&format!("L{i}.b")), &bwd_kernels, &first_deps);
+            let last = b.push_kernels(
+                "st{}.L{}.b.k{}.gpu{}",
+                &[step, i as u32],
+                &gpus,
+                &bwd_kernels,
+                &first_deps,
+                compute_op,
+            );
             b_last[i] = last.clone();
 
             if is_last_step {
                 let mut spec = TaskSpec::collective(
-                    tag(&format!("rs.L{i}")),
+                    label!("st{}.rs.L{}", step, i),
                     group.clone(),
-                    collective_op(Collective::reduce_scatter(layer_bytes, group.clone())),
+                    collective_op(Collective::reduce_scatter(layer_bytes, gpus.clone())),
                 );
                 spec.deps.extend(last.iter().copied());
                 let rs = b.push(spec);
@@ -316,9 +325,9 @@ pub fn fsdp_timeline(
                     flops_per_elem: 1,
                     streams: 3,
                 };
-                for gpu in &group {
+                for gpu in &gpus {
                     let mut spec = TaskSpec::compute(
-                        tag(&format!("accum.L{i}.{gpu}")),
+                        label!("st{}.accum.L{}.gpu{}", step, i, gpu.0),
                         *gpu,
                         compute_op(&accum),
                     );
@@ -331,9 +340,9 @@ pub fn fsdp_timeline(
 
     // ---- Optimizer ----
     let shard_params = plan.model.param_count() / n as u64;
-    for gpu in &group {
+    for gpu in &gpus {
         let mut spec = TaskSpec::compute(
-            format!("adam.{gpu}"),
+            label!("adam.gpu{}", gpu.0),
             *gpu,
             compute_op(&ops::optimizer_kernel(shard_params)),
         );
@@ -402,7 +411,7 @@ mod tests {
         let reduces = w
             .tasks()
             .iter()
-            .filter(|t| t.label.contains("rs.L"))
+            .filter(|t| t.label.to_string().contains("rs.L"))
             .count();
         assert_eq!(reduces as u32, p.model.layers, "one RS per layer total");
     }

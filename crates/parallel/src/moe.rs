@@ -19,7 +19,57 @@ use olab_ccl::{lower, Algorithm, Collective, CollectiveKind};
 use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::{ops, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{label, GpuId, Label, Participants, TaskId, TaskSpec, Workload};
+
+/// Label templates of one pass, with the pass letter (`f` or `b`) baked in.
+/// Kernel templates end in the kernel and GPU holes
+/// [`ScheduleBuilder::push_kernels`] fills.
+struct PassLabels {
+    /// Kernel-cost multiplier (backward = dgrad + wgrad).
+    cost: u32,
+    attn: &'static str,
+    router: &'static str,
+    dispatch: &'static str,
+    expert: &'static str,
+    combine: &'static str,
+    residual: &'static str,
+    mlp: &'static str,
+}
+
+const PASSES: [PassLabels; 2] = [
+    PassLabels {
+        cost: 1,
+        attn: "L{}.f{}.attn.k{}.gpu{}",
+        router: "L{}.f.router.k{}.gpu{}",
+        dispatch: "a2a.d.L{}.f.c{}",
+        expert: "L{}.f.exp.c{}.k{}.gpu{}",
+        combine: "a2a.c.L{}.f.c{}",
+        residual: "L{}.f.res.k{}.gpu{}",
+        mlp: "L{}.f{}.mlp.k{}.gpu{}",
+    },
+    PassLabels {
+        cost: 2,
+        attn: "L{}.b{}.attn.k{}.gpu{}",
+        router: "L{}.b.router.k{}.gpu{}",
+        dispatch: "a2a.d.L{}.b.c{}",
+        expert: "L{}.b.exp.c{}.k{}.gpu{}",
+        combine: "a2a.c.L{}.b.c{}",
+        residual: "L{}.b.res.k{}.gpu{}",
+        mlp: "L{}.b{}.mlp.k{}.gpu{}",
+    },
+];
+
+const _: () = {
+    let mut p = 0;
+    while p < PASSES.len() {
+        let t = &PASSES[p];
+        assert!(Label::holes(t.attn) == 4 && Label::holes(t.mlp) == 4);
+        assert!(Label::holes(t.router) == 3 && Label::holes(t.residual) == 3);
+        assert!(Label::holes(t.expert) == 4);
+        assert!(Label::holes(t.dispatch) == 2 && Label::holes(t.combine) == 2);
+        p += 1;
+    }
+};
 
 /// Configuration of one MoE training iteration.
 #[derive(Debug, Clone)]
@@ -78,14 +128,15 @@ pub fn moe_timeline(
     assert!(topo.n_gpus() >= plan.ranks, "topology too small");
 
     let n = plan.ranks;
-    let group: Vec<GpuId> = (0..n as u16).map(GpuId).collect();
+    let gpus: Vec<GpuId> = (0..n as u16).map(GpuId).collect();
+    let group = Participants::from(gpus.clone());
     let layers = plan.model.layers as usize;
     let mut b = ScheduleBuilder::new(n, mode);
 
     let compute_op =
         |k: &KernelKind| Op::Compute(ComputeOp::new(*k, plan.precision, plan.datapath));
     let all_to_all = |bytes: u64| {
-        let c = Collective::new(CollectiveKind::AllToAll, bytes, group.clone());
+        let c = Collective::new(CollectiveKind::AllToAll, bytes, gpus.clone());
         Op::Comm(lower(&c, Algorithm::Direct, sku, topo, plan.precision))
     };
 
@@ -129,25 +180,6 @@ pub fn moe_timeline(
         },
     ];
 
-    let push_kernels = |b: &mut ScheduleBuilder,
-                        label: &str,
-                        kernels: &[KernelKind],
-                        first_deps: &[TaskId]|
-     -> Vec<TaskId> {
-        let mut last = vec![TaskId(0); n];
-        for (g, gpu) in group.iter().enumerate() {
-            for (ki, k) in kernels.iter().enumerate() {
-                let mut spec =
-                    TaskSpec::compute(format!("{label}.k{ki}.{gpu}"), *gpu, compute_op(k));
-                if ki == 0 {
-                    spec.deps.extend_from_slice(first_deps);
-                }
-                last[g] = b.push(spec);
-            }
-        }
-        last
-    };
-
     // Forward + backward, layer by layer. Backward reuses the forward
     // structure at 2x kernel cost (dgrad + wgrad), with the all-to-alls
     // reversed — close enough for the characterization workload, which
@@ -159,32 +191,35 @@ pub fn moe_timeline(
             .push(plan.moe_every > 0 && (i as u32 + 1).is_multiple_of(plan.moe_every));
     }
 
-    for pass in ["f", "b"] {
-        let layer_order: Vec<usize> = if pass == "f" {
+    for pass in &PASSES {
+        let layer_order: Vec<usize> = if pass.cost == 1 {
             (0..layers).collect()
         } else {
             (0..layers).rev().collect()
         };
-        let cost = if pass == "f" { 1 } else { 2 };
+        let cost = pass.cost;
         for &i in &layer_order {
+            let li = i as u32;
             // Attention block (dense backward cost modeled by repetition).
             for rep in 0..cost {
-                barrier = push_kernels(
-                    &mut b,
-                    &format!("L{i}.{pass}{rep}.attn"),
+                barrier = b.push_kernels(
+                    pass.attn,
+                    &[li, rep],
+                    &gpus,
                     &attn_fwd,
                     &barrier,
+                    compute_op,
                 );
             }
             if moe_layer_sequence[i] {
-                barrier = push_kernels(&mut b, &format!("L{i}.{pass}.router"), &router, &barrier);
+                barrier = b.push_kernels(pass.router, &[li], &gpus, &router, &barrier, compute_op);
                 // Chunked dispatch -> expert -> combine pipeline.
                 let mut prev_dispatch: Option<TaskId> = None;
                 let mut expert_done: Vec<Vec<TaskId>> = Vec::new();
                 let mut combines: Vec<TaskId> = Vec::new();
                 for c in 0..plan.chunks {
                     let mut spec = TaskSpec::collective(
-                        format!("a2a.d.L{i}.{pass}.c{c}"),
+                        Label::new(pass.dispatch, &[li, c]),
                         group.clone(),
                         all_to_all(chunk_bytes),
                     );
@@ -200,17 +235,19 @@ pub fn moe_timeline(
                     for _ in 0..cost {
                         expert_kernels.extend(expert_chunk.iter().copied());
                     }
-                    let done = push_kernels(
-                        &mut b,
-                        &format!("L{i}.{pass}.exp.c{c}"),
+                    let done = b.push_kernels(
+                        pass.expert,
+                        &[li, c],
+                        &gpus,
                         &expert_kernels,
                         &[dispatch],
+                        compute_op,
                     );
                     expert_done.push(done);
                 }
-                for (c, done) in expert_done.iter().enumerate() {
+                for (c, done) in (0u32..).zip(&expert_done) {
                     let mut spec = TaskSpec::collective(
-                        format!("a2a.c.L{i}.{pass}.c{c}"),
+                        Label::new(pass.combine, &[li, c]),
                         group.clone(),
                         all_to_all(chunk_bytes),
                     );
@@ -222,18 +259,20 @@ pub fn moe_timeline(
                     flops_per_elem: 1,
                     streams: 3,
                 };
-                barrier = push_kernels(
-                    &mut b,
-                    &format!("L{i}.{pass}.res"),
+                barrier = b.push_kernels(
+                    pass.residual,
+                    &[li],
+                    &gpus,
                     std::slice::from_ref(&residual),
                     &combines,
+                    compute_op,
                 );
             } else {
                 // Dense MLP block (remaining forward kernels).
                 let mlp: Vec<KernelKind> = dense.forward[7..].to_vec();
                 for rep in 0..cost {
                     barrier =
-                        push_kernels(&mut b, &format!("L{i}.{pass}{rep}.mlp"), &mlp, &barrier);
+                        b.push_kernels(pass.mlp, &[li, rep], &gpus, &mlp, &barrier, compute_op);
                 }
             }
         }
@@ -242,7 +281,7 @@ pub fn moe_timeline(
     // Data-parallel gradient sync for the replicated (non-expert) weights.
     let dense_params: u64 = plan.model.layer_params() / 2 * u64::from(plan.model.layers);
     let mut spec = TaskSpec::collective("ar.dense", group.clone(), {
-        let c = Collective::all_reduce(dense_params * plan.precision.bytes(), group.clone());
+        let c = Collective::all_reduce(dense_params * plan.precision.bytes(), gpus.clone());
         let algo = Algorithm::auto(c.kind, c.bytes, c.group_size());
         Op::Comm(lower(&c, algo, sku, topo, plan.precision))
     });
@@ -250,9 +289,9 @@ pub fn moe_timeline(
     let sync = b.push(spec);
 
     let shard_params = plan.model.param_count() / n as u64;
-    for gpu in &group {
+    for gpu in &gpus {
         let mut opt = TaskSpec::compute(
-            format!("adam.{gpu}"),
+            label!("adam.gpu{}", gpu.0),
             *gpu,
             compute_op(&KernelKind::AdamStep {
                 params: shard_params,
@@ -299,7 +338,7 @@ mod tests {
             let a2a = w
                 .tasks()
                 .iter()
-                .filter(|t| t.label.starts_with("a2a."))
+                .filter(|t| t.label.to_string().starts_with("a2a."))
                 .count() as u32;
             // dispatch + combine per chunk, forward and backward.
             assert_eq!(a2a, p.moe_layers() * chunks * 2 * 2, "chunks {chunks}");

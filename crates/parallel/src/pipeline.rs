@@ -25,7 +25,7 @@ use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{ops, Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{label, GpuId, Label, Participants, TaskId, TaskSpec, Workload};
 
 /// Which pipeline schedule to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -234,11 +234,13 @@ pub fn pipeline_timeline(
     };
 
     // Pushes the compute of one (stage, microbatch) cell; returns last task.
+    // `template` names the pass (`f` or `b`) and takes the stage,
+    // microbatch, chunk and kernel indices.
     let push_cell = |b: &mut ScheduleBuilder,
                      stage: usize,
                      m: usize,
                      chunks: &[&[KernelKind]],
-                     label: &str,
+                     template: &'static str,
                      first_dep: Option<TaskId>|
      -> TaskId {
         let gpu = GpuId(stage as u16);
@@ -247,7 +249,7 @@ pub fn pipeline_timeline(
         for (ci, chunk) in chunks.iter().enumerate() {
             for (ki, k) in chunk.iter().enumerate() {
                 let mut spec = TaskSpec::compute(
-                    format!("s{stage}.m{m}.{label}.c{ci}k{ki}"),
+                    Label::new(template, &[stage as u32, m as u32, ci as u32, ki as u32]),
                     gpu,
                     compute_op(k),
                 );
@@ -259,6 +261,12 @@ pub fn pipeline_timeline(
         }
         last.expect("stage owns at least one kernel")
     };
+
+    // Point-to-point transfers run between neighbouring stages; each pair
+    // shares one participant set across every microbatch and direction.
+    let pairs: Vec<Participants> = (0..s_count - 1)
+        .map(|s| Participants::from(vec![GpuId(s as u16), GpuId((s + 1) as u16)]))
+        .collect();
 
     // Breadth-first emission of the per-stage programs: each pass emits at
     // most one op per stage, and only once its cross-stage producer is
@@ -291,12 +299,12 @@ pub fn pipeline_timeline(
                 match op {
                     StageOp::Forward(m) => {
                         let recv = if s > 0 { fwd_send[s - 1][m] } else { None };
-                        let last = push_cell(&mut b, s, m, &forward_chunks(s), "f", recv);
+                        let last = push_cell(&mut b, s, m, &forward_chunks(s), FORWARD_CELL, recv);
                         fwd_done[s][m] = Some(last);
                         if s + 1 < s_count {
                             let spec = TaskSpec::collective(
-                                format!("x.f.s{s}->s{}.m{m}", s + 1),
-                                vec![GpuId(s as u16), GpuId((s + 1) as u16)],
+                                label!("x.f.s{}->s{}.m{}", s, s + 1, m),
+                                pairs[s].clone(),
                                 p2p_op(act_bytes, GpuId(s as u16), GpuId((s + 1) as u16)),
                             )
                             .after(last);
@@ -313,12 +321,13 @@ pub fn pipeline_timeline(
                         } else {
                             fwd_done[s][m]
                         };
-                        let last = push_cell(&mut b, s, m, &backward_chunks(s), "b", recv);
+                        let last =
+                            push_cell(&mut b, s, m, &backward_chunks(s), BACKWARD_CELL, recv);
                         bwd_done[s][m] = Some(last);
                         if s > 0 {
                             let spec = TaskSpec::collective(
-                                format!("x.b.s{s}->s{}.m{m}", s - 1),
-                                vec![GpuId((s - 1) as u16), GpuId(s as u16)],
+                                label!("x.b.s{}->s{}.m{}", s, s - 1, m),
+                                pairs[s - 1].clone(),
                                 p2p_op(act_bytes, GpuId(s as u16), GpuId((s - 1) as u16)),
                             )
                             .after(last);
@@ -360,7 +369,7 @@ pub fn pipeline_timeline(
     for s in 0..s_count {
         let gpu = GpuId(s as u16);
         let mut spec = TaskSpec::compute(
-            format!("adam.s{s}"),
+            label!("adam.s{}", s),
             gpu,
             compute_op(&ops::optimizer_kernel(plan.stage_params(s))),
         );
@@ -372,6 +381,12 @@ pub fn pipeline_timeline(
 
     b.build()
 }
+
+/// Label templates of one forward / backward (stage, microbatch) cell's
+/// kernels: stage, microbatch, chunk and kernel index.
+const FORWARD_CELL: &str = "s{}.m{}.f.c{}k{}";
+const BACKWARD_CELL: &str = "s{}.m{}.b.c{}k{}";
+const _: () = assert!(Label::holes(FORWARD_CELL) == 4 && Label::holes(BACKWARD_CELL) == 4);
 
 /// Number of model layers resident on a stage.
 fn stage_layer_count(plan: &PipelinePlan, stage: usize) -> usize {
@@ -414,7 +429,7 @@ mod tests {
             let p2ps = w
                 .tasks()
                 .iter()
-                .filter(|t| t.label.starts_with("x."))
+                .filter(|t| t.label.to_string().starts_with("x."))
                 .count();
             // (stages-1) forward + (stages-1) backward transfers per microbatch.
             assert_eq!(p2ps, 2 * 3 * m as usize, "{schedule}");

@@ -20,7 +20,7 @@ use olab_gpu::{Datapath, GpuSku, KernelKind, Precision};
 use olab_models::memory::ActivationPolicy;
 use olab_models::{Family, TransformerConfig};
 use olab_net::Topology;
-use olab_sim::{GpuId, TaskId, TaskSpec, Workload};
+use olab_sim::{label, GpuId, Label, Participants, TaskId, TaskSpec, Workload};
 
 /// Configuration of one tensor-parallel training iteration.
 #[derive(Debug, Clone)]
@@ -217,14 +217,15 @@ pub fn tensor_timeline(
     );
 
     let n = plan.ranks;
-    let group: Vec<GpuId> = (0..n as u16).map(GpuId).collect();
+    let gpus: Vec<GpuId> = (0..n as u16).map(GpuId).collect();
+    let group = Participants::from(gpus.clone());
     let layers = plan.model.layers as usize;
     let mut b = ScheduleBuilder::new(n, mode);
 
     let compute_op =
         |k: &KernelKind| Op::Compute(ComputeOp::new(*k, plan.precision, plan.datapath));
     let allreduce = |bytes: u64| {
-        let c = Collective::all_reduce(bytes, group.clone());
+        let c = Collective::all_reduce(bytes, gpus.clone());
         let algo = Algorithm::auto_for(c.kind, c.bytes, &c.group, topo);
         Op::Comm(lower(&c, algo, sku, topo, plan.precision))
     };
@@ -232,56 +233,52 @@ pub fn tensor_timeline(
     let layer = tp_layer(&plan.model, ranks, plan.batch, plan.seq);
     let act_bytes = plan.activation_bytes();
 
-    // Pushes kernels on every rank; returns the last task per rank.
-    let push_kernels = |b: &mut ScheduleBuilder,
-                        label: &str,
-                        kernels: &[KernelKind],
-                        first_deps: &[TaskId]|
-     -> Vec<TaskId> {
-        let mut last = vec![TaskId(0); n];
-        for (g, gpu) in group.iter().enumerate() {
-            for (ki, k) in kernels.iter().enumerate() {
-                let mut spec =
-                    TaskSpec::compute(format!("{label}.k{ki}.{gpu}"), *gpu, compute_op(k));
-                if ki == 0 {
-                    spec.deps.extend_from_slice(first_deps);
-                }
-                last[g] = b.push(spec);
-            }
-        }
-        last
-    };
-    let push_allreduce = |b: &mut ScheduleBuilder, label: &str, deps: &[TaskId]| -> TaskId {
+    let push_allreduce = |b: &mut ScheduleBuilder, label: Label, deps: &[TaskId]| -> TaskId {
         let mut spec = TaskSpec::collective(label, group.clone(), allreduce(act_bytes));
         spec.deps.extend_from_slice(deps);
         b.push(spec)
     };
+    let residual = std::slice::from_ref(&layer.residual);
 
     // ---- Forward ----
     // Forward all-reduces are on the critical path: the residual add needs
     // the reduced activations.
     let mut fwd_barrier: Vec<TaskId> = Vec::new(); // carried dependency between blocks
     for i in 0..layers {
-        let attn = push_kernels(
-            &mut b,
-            &format!("L{i}.f.attn"),
+        let li = i as u32;
+        let attn = b.push_kernels(
+            "L{}.f.attn.k{}.gpu{}",
+            &[li],
+            &gpus,
             &layer.attn_forward,
             &fwd_barrier,
+            compute_op,
         );
-        let ar1 = push_allreduce(&mut b, &format!("ar.f1.L{i}"), &attn);
-        let res1 = push_kernels(
-            &mut b,
-            &format!("L{i}.f.res1"),
-            std::slice::from_ref(&layer.residual),
+        let ar1 = push_allreduce(&mut b, label!("ar.f1.L{}", i), &attn);
+        let res1 = b.push_kernels(
+            "L{}.f.res1.k{}.gpu{}",
+            &[li],
+            &gpus,
+            residual,
             &[ar1],
+            compute_op,
         );
-        let mlp = push_kernels(&mut b, &format!("L{i}.f.mlp"), &layer.mlp_forward, &res1);
-        let ar2 = push_allreduce(&mut b, &format!("ar.f2.L{i}"), &mlp);
-        fwd_barrier = push_kernels(
-            &mut b,
-            &format!("L{i}.f.res2"),
-            std::slice::from_ref(&layer.residual),
+        let mlp = b.push_kernels(
+            "L{}.f.mlp.k{}.gpu{}",
+            &[li],
+            &gpus,
+            &layer.mlp_forward,
+            &res1,
+            compute_op,
+        );
+        let ar2 = push_allreduce(&mut b, label!("ar.f2.L{}", i), &mlp);
+        fwd_barrier = b.push_kernels(
+            "L{}.f.res2.k{}.gpu{}",
+            &[li],
+            &gpus,
+            residual,
             &[ar2],
+            compute_op,
         );
     }
 
@@ -289,39 +286,62 @@ pub fn tensor_timeline(
     // Recomputation replays the layer's forward before its backward.
     let mut bwd_barrier: Vec<TaskId> = fwd_barrier.clone();
     for i in (0..layers).rev() {
+        let li = i as u32;
         if plan.activation_policy == ActivationPolicy::Recompute {
-            let ra = push_kernels(
-                &mut b,
-                &format!("L{i}.rc.attn"),
+            let ra = b.push_kernels(
+                "L{}.rc.attn.k{}.gpu{}",
+                &[li],
+                &gpus,
                 &layer.attn_forward,
                 &bwd_barrier,
+                compute_op,
             );
-            bwd_barrier = push_kernels(&mut b, &format!("L{i}.rc.mlp"), &layer.mlp_forward, &ra);
+            bwd_barrier = b.push_kernels(
+                "L{}.rc.mlp.k{}.gpu{}",
+                &[li],
+                &gpus,
+                &layer.mlp_forward,
+                &ra,
+                compute_op,
+            );
         }
         // MLP backward: dgrads produce the input gradient; the all-reduce
         // of that gradient overlaps the wgrads.
-        let mlp_dgrad = push_kernels(
-            &mut b,
-            &format!("L{i}.b.mlp.dgrad"),
+        let mlp_dgrad = b.push_kernels(
+            "L{}.b.mlp.dgrad.k{}.gpu{}",
+            &[li],
+            &gpus,
             &layer.mlp_dgrad,
             &bwd_barrier,
+            compute_op,
         );
-        let ar_b2 = push_allreduce(&mut b, &format!("ar.b2.L{i}"), &mlp_dgrad);
-        let _mlp_wgrad = push_kernels(&mut b, &format!("L{i}.b.mlp.wgrad"), &layer.mlp_wgrad, &[]);
+        let ar_b2 = push_allreduce(&mut b, label!("ar.b2.L{}", i), &mlp_dgrad);
+        let _mlp_wgrad = b.push_kernels(
+            "L{}.b.mlp.wgrad.k{}.gpu{}",
+            &[li],
+            &gpus,
+            &layer.mlp_wgrad,
+            &[],
+            compute_op,
+        );
 
         // Attention backward needs the reduced MLP input gradient.
-        let attn_dgrad = push_kernels(
-            &mut b,
-            &format!("L{i}.b.attn.dgrad"),
+        let attn_dgrad = b.push_kernels(
+            "L{}.b.attn.dgrad.k{}.gpu{}",
+            &[li],
+            &gpus,
             &layer.attn_dgrad,
             &[ar_b2],
+            compute_op,
         );
-        let ar_b1 = push_allreduce(&mut b, &format!("ar.b1.L{i}"), &attn_dgrad);
-        let _attn_wgrad = push_kernels(
-            &mut b,
-            &format!("L{i}.b.attn.wgrad"),
+        let ar_b1 = push_allreduce(&mut b, label!("ar.b1.L{}", i), &attn_dgrad);
+        let _attn_wgrad = b.push_kernels(
+            "L{}.b.attn.wgrad.k{}.gpu{}",
+            &[li],
+            &gpus,
             &layer.attn_wgrad,
             &[],
+            compute_op,
         );
         bwd_barrier = vec![ar_b1];
         // Next layer's backward must also follow this layer's wgrads only
@@ -330,9 +350,9 @@ pub fn tensor_timeline(
 
     // ---- Optimizer: each rank owns 1/N of the parameters ----
     let shard_params = plan.model.param_count() / ranks;
-    for gpu in &group {
+    for gpu in &gpus {
         let mut spec = TaskSpec::compute(
-            format!("adam.{gpu}"),
+            label!("adam.gpu{}", gpu.0),
             *gpu,
             compute_op(&KernelKind::AdamStep {
                 params: shard_params,

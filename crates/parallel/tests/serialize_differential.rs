@@ -28,7 +28,7 @@ fn push_time_reference(overlapped: &Workload<Op>) -> Workload<Op> {
     let mut last_on_gpu: Vec<Option<TaskId>> = vec![None; overlapped.n_gpus()];
     for task in overlapped.tasks() {
         let mut spec = task.clone();
-        for gpu in spec.participants.clone() {
+        for &gpu in &spec.participants.clone() {
             if let Some(prev) = last_on_gpu[gpu.index()] {
                 if !spec.deps.contains(&prev) {
                     spec.deps.push(prev);

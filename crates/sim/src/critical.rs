@@ -6,7 +6,7 @@
 //! scheduling engineer asks of a timeline ("what do I shorten to make the
 //! iteration faster?").
 
-use crate::{SimTrace, StreamKind, TaskId, Workload};
+use crate::{Label, SimTrace, StreamKind, TaskId, Workload};
 
 /// One step of the critical path.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +14,7 @@ pub struct CriticalStep {
     /// The task.
     pub id: TaskId,
     /// Its label (copied out of the trace).
-    pub label: String,
+    pub label: Label,
     /// Its stream.
     pub stream: StreamKind,
     /// Wall-clock duration, seconds.
@@ -80,7 +80,7 @@ pub fn critical_path<P>(workload: &Workload<P>, trace: &SimTrace) -> CriticalPat
         let rec = &records[current.index()];
         steps_rev.push(CriticalStep {
             id: rec.id,
-            label: rec.label.clone(),
+            label: rec.label,
             stream: rec.stream,
             duration_s: rec.duration().as_secs(),
         });
@@ -189,7 +189,7 @@ mod tests {
         let _coll = w.push(TaskSpec::collective("coll", vec![GpuId(0), GpuId(1)], ()).after(a1));
         let trace = Engine::new(ConstantRate::default()).run(&w).unwrap();
         let path = critical_path(&w, &trace);
-        let labels: Vec<&str> = path.steps.iter().map(|s| s.label.as_str()).collect();
+        let labels: Vec<Label> = path.steps.iter().map(|s| s.label).collect();
         assert_eq!(labels, vec!["a0", "a1", "coll"], "the gpu0 chain dominates");
         assert!((path.makespan_s - 3.0).abs() < 1e-9);
     }

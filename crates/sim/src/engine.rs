@@ -317,7 +317,7 @@ impl<M: RateModel> Engine<M> {
                             obs.on_task_start(
                                 now.as_secs(),
                                 head,
-                                &spec.label,
+                                spec.label,
                                 &spec.participants,
                                 spec.stream,
                             );
@@ -341,7 +341,7 @@ impl<M: RateModel> Engine<M> {
                 let spec = &tasks[id.index()];
                 RunningTask {
                     id,
-                    label: &spec.label,
+                    label: spec.label,
                     participants: &spec.participants,
                     stream: spec.stream,
                     remaining: remaining[id.index()],
@@ -464,7 +464,7 @@ impl<M: RateModel> Engine<M> {
                     obs.on_task_end(
                         now.as_secs(),
                         id,
-                        &spec.label,
+                        spec.label,
                         &spec.participants,
                         spec.stream,
                     );
@@ -488,7 +488,7 @@ impl<M: RateModel> Engine<M> {
                 let spec = &tasks[i];
                 TaskRecord {
                     id: TaskId(i as u32),
-                    label: spec.label.clone(),
+                    label: spec.label,
                     participants: spec.participants.clone(),
                     stream: spec.stream,
                     start: start[i],
@@ -766,7 +766,7 @@ mod tests {
             &mut self,
             now_s: f64,
             _id: TaskId,
-            label: &str,
+            label: crate::Label,
             _participants: &[GpuId],
             _stream: StreamKind,
         ) {
@@ -776,7 +776,7 @@ mod tests {
             &mut self,
             now_s: f64,
             _id: TaskId,
-            label: &str,
+            label: crate::Label,
             _participants: &[GpuId],
             _stream: StreamKind,
         ) {

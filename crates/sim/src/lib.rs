@@ -15,6 +15,11 @@
 //!   (collectives occupy the comm stream of *every* rank, which gives
 //!   rendezvous semantics for free: the task starts only when it reaches the
 //!   head of each rank's queue);
+//! * carries a [`Label`] — a `'static` template plus up to four integers,
+//!   built with [`label!`] and rendered only where text is written out —
+//!   and its devices as [`Participants`], one device inline or a group
+//!   shared by reference count, so a task allocates nothing but its
+//!   dependency list;
 //! * carries an opaque payload interpreted by a user-supplied [`RateModel`];
 //! * progresses *fluidly*: the rate model assigns each running task a rate in
 //!   "fraction of the task completed per second", re-evaluated every time the
@@ -30,7 +35,9 @@
 //! ## Example
 //!
 //! ```rust
-//! use olab_sim::{Engine, GpuId, RateModel, RunningTask, StreamKind, TaskSpec, Workload};
+//! use olab_sim::{
+//!     label, Engine, GpuId, Participants, RateModel, RunningTask, StreamKind, TaskSpec, Workload,
+//! };
 //!
 //! /// Every task takes exactly one second, devices draw 100 W while busy.
 //! struct Unit;
@@ -54,11 +61,12 @@
 //! # fn main() -> Result<(), olab_sim::SimError> {
 //! let mut workload = Workload::new(1);
 //! let a = workload.push(TaskSpec::compute("a", GpuId(0), ()));
-//! let mut b = TaskSpec::new("b", vec![GpuId(0)], StreamKind::Comm, ());
+//! let mut b = TaskSpec::new(label!("b{}", 1), Participants::One(GpuId(0)), StreamKind::Comm, ());
 //! b.deps.push(a);
 //! workload.push(b);
 //! let trace = Engine::new(Unit).run(&workload)?;
 //! assert!((trace.makespan().as_secs() - 2.0).abs() < 1e-9);
+//! assert_eq!(trace.records()[1].label.to_string(), "b1");
 //! # Ok(())
 //! # }
 //! ```
@@ -70,6 +78,7 @@ pub mod critical;
 mod engine;
 mod error;
 mod ids;
+mod label;
 pub mod metrics;
 mod obs;
 mod rate;
@@ -83,6 +92,7 @@ pub use critical::{critical_path, CriticalPath, CriticalStep};
 pub use engine::{Engine, SimArena};
 pub use error::SimError;
 pub use ids::{GpuId, StreamKind, TaskId};
+pub use label::{Label, Participants, MAX_LABEL_ARGS};
 pub use obs::{EngineObserver, GpuCounters, NullObserver};
 pub use rate::{ConstantRate, RateModel, RunningTask};
 pub use rng::SeededRng;

@@ -9,7 +9,7 @@
 //! [`NullObserver`] sets [`EngineObserver::ENABLED`] to `false` so the
 //! instrumentation compiles away entirely for unobserved runs.
 
-use crate::{GpuId, StreamKind, TaskId};
+use crate::{GpuId, Label, StreamKind, TaskId};
 
 /// Per-GPU telemetry counters for one engine epoch, as a simulated NVML
 /// poll would see them: all values are held constant over the epoch.
@@ -61,7 +61,7 @@ pub trait EngineObserver {
         &mut self,
         now_s: f64,
         id: TaskId,
-        label: &str,
+        label: Label,
         participants: &[GpuId],
         stream: StreamKind,
     ) {
@@ -73,7 +73,7 @@ pub trait EngineObserver {
         &mut self,
         now_s: f64,
         id: TaskId,
-        label: &str,
+        label: Label,
         participants: &[GpuId],
         stream: StreamKind,
     ) {
@@ -115,8 +115,8 @@ mod tests {
         const { assert!(!NullObserver::ENABLED) };
         // The default methods are callable no-ops.
         let mut obs = NullObserver;
-        obs.on_task_start(0.0, TaskId(0), "k", &[GpuId(0)], StreamKind::Compute);
-        obs.on_task_end(1.0, TaskId(0), "k", &[GpuId(0)], StreamKind::Compute);
+        obs.on_task_start(0.0, TaskId(0), "k".into(), &[GpuId(0)], StreamKind::Compute);
+        obs.on_task_end(1.0, TaskId(0), "k".into(), &[GpuId(0)], StreamKind::Compute);
         obs.on_epoch(0.0, 1.0, &[GpuCounters::default()]);
     }
 }

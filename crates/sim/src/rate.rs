@@ -1,6 +1,6 @@
 //! The rate-model trait: where domain physics plugs into the engine.
 
-use crate::{GpuCounters, GpuId, StreamKind, TaskId};
+use crate::{GpuCounters, GpuId, Label, StreamKind, TaskId};
 
 /// A view of one currently-running task handed to the [`RateModel`].
 #[derive(Debug)]
@@ -8,7 +8,7 @@ pub struct RunningTask<'a, P> {
     /// The task's id.
     pub id: TaskId,
     /// The task's label.
-    pub label: &'a str,
+    pub label: Label,
     /// Devices the task occupies.
     pub participants: &'a [GpuId],
     /// The stream it occupies on each device.
@@ -176,7 +176,7 @@ mod tests {
         let payload = ();
         let running = [RunningTask {
             id: TaskId(0),
-            label: "k",
+            label: "k".into(),
             participants: &[GpuId(1)],
             stream: StreamKind::Compute,
             remaining: 1.0,

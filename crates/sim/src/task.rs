@@ -1,6 +1,6 @@
 //! Task specifications and workload construction.
 
-use crate::{GpuId, SimError, StreamKind, TaskId};
+use crate::{GpuId, Label, Participants, SimError, StreamKind, TaskId};
 
 /// Specification of one task in a [`Workload`].
 ///
@@ -10,10 +10,11 @@ use crate::{GpuId, SimError, StreamKind, TaskId};
 /// participant's queue (rendezvous semantics, like NCCL).
 #[derive(Debug, Clone)]
 pub struct TaskSpec<P> {
-    /// Human-readable label, carried into the trace.
-    pub label: String,
+    /// Human-readable label, carried into the trace and rendered only by
+    /// exporters.
+    pub label: Label,
     /// Devices this task occupies, deduplicated and sorted by [`Workload::push`].
-    pub participants: Vec<GpuId>,
+    pub participants: Participants,
     /// The stream the task occupies on each participant.
     pub stream: StreamKind,
     /// Explicit dependencies in addition to stream ordering.
@@ -25,14 +26,14 @@ pub struct TaskSpec<P> {
 impl<P> TaskSpec<P> {
     /// Creates a task spec with no explicit dependencies.
     pub fn new(
-        label: impl Into<String>,
-        participants: Vec<GpuId>,
+        label: impl Into<Label>,
+        participants: impl Into<Participants>,
         stream: StreamKind,
         payload: P,
     ) -> Self {
         TaskSpec {
             label: label.into(),
-            participants,
+            participants: participants.into(),
             stream,
             deps: Vec::new(),
             payload,
@@ -40,17 +41,21 @@ impl<P> TaskSpec<P> {
     }
 
     /// Convenience constructor for a single-device compute task.
-    pub fn compute(label: impl Into<String>, gpu: GpuId, payload: P) -> Self {
-        Self::new(label, vec![gpu], StreamKind::Compute, payload)
+    pub fn compute(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
+        Self::new(label, Participants::One(gpu), StreamKind::Compute, payload)
     }
 
     /// Convenience constructor for a single-device communication task.
-    pub fn comm(label: impl Into<String>, gpu: GpuId, payload: P) -> Self {
-        Self::new(label, vec![gpu], StreamKind::Comm, payload)
+    pub fn comm(label: impl Into<Label>, gpu: GpuId, payload: P) -> Self {
+        Self::new(label, Participants::One(gpu), StreamKind::Comm, payload)
     }
 
     /// Convenience constructor for a multi-device collective on the comm stream.
-    pub fn collective(label: impl Into<String>, participants: Vec<GpuId>, payload: P) -> Self {
+    pub fn collective(
+        label: impl Into<Label>,
+        participants: impl Into<Participants>,
+        payload: P,
+    ) -> Self {
         Self::new(label, participants, StreamKind::Comm, payload)
     }
 
@@ -109,7 +114,8 @@ impl<P> Workload<P> {
 
     /// Adds a task and returns its id.
     ///
-    /// Participants are deduplicated and sorted. Dependencies may reference
+    /// Participants are deduplicated and sorted; a shared group that is
+    /// already strictly sorted is kept as is. Dependencies may reference
     /// any task id already pushed; forward references are rejected at
     /// [`Engine::run`](crate::Engine::run) time.
     ///
@@ -123,8 +129,12 @@ impl<P> Workload<P> {
             "task {:?} has no participants",
             spec.label
         );
-        spec.participants.sort_unstable();
-        spec.participants.dedup();
+        if !spec.participants.is_strictly_sorted() {
+            let mut gpus = spec.participants.to_vec();
+            gpus.sort_unstable();
+            gpus.dedup();
+            spec.participants = Participants::from(gpus);
+        }
         for gpu in &spec.participants {
             assert!(
                 gpu.index() < self.n_gpus,
@@ -219,7 +229,56 @@ mod tests {
             (),
         ));
         let spec = w.get(id).unwrap();
-        assert_eq!(spec.participants, vec![GpuId(0), GpuId(1), GpuId(3)]);
+        assert_eq!(*spec.participants, [GpuId(0), GpuId(1), GpuId(3)]);
+    }
+
+    #[test]
+    fn a_sorted_shared_group_is_kept_and_an_unsorted_one_resorted() {
+        let group = Participants::from(vec![GpuId(0), GpuId(2)]);
+        let mut w = Workload::new(4);
+        let a = w.push(TaskSpec::collective("a", group.clone(), ()));
+        match (&w.tasks()[a.index()].participants, &group) {
+            (Participants::Many(kept), Participants::Many(shared)) => {
+                assert!(
+                    std::sync::Arc::ptr_eq(kept, shared),
+                    "no copy of a sorted group"
+                )
+            }
+            other => panic!("expected a shared group, got {other:?}"),
+        }
+        let b = w.push(TaskSpec::collective(
+            "b",
+            Participants::Many(vec![GpuId(3), GpuId(3), GpuId(1)].into()),
+            (),
+        ));
+        assert_eq!(*w.tasks()[b.index()].participants, [GpuId(1), GpuId(3)]);
+        let c = w.push(TaskSpec::collective(
+            "c",
+            Participants::Many(vec![GpuId(2), GpuId(2)].into()),
+            (),
+        ));
+        assert!(matches!(
+            w.tasks()[c.index()].participants,
+            Participants::One(GpuId(2))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "task \"st0.L1.ag\" has no participants")]
+    fn empty_participants_panic_with_the_rendered_label() {
+        let mut w = Workload::new(2);
+        w.push(TaskSpec::collective(
+            crate::label!("st{}.L{}.ag", 0, 1),
+            Vec::new(),
+            (),
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "task \"ar\" references gpu5 but the node has 4 devices")]
+    fn out_of_range_group_member_panics() {
+        let mut w = Workload::new(4);
+        w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(5)], ()));
     }
 
     #[test]
@@ -278,9 +337,8 @@ mod tests {
         w.push(TaskSpec::collective("ar", vec![GpuId(0), GpuId(1)], ()));
         w.push(TaskSpec::compute("c", GpuId(1), ()).after(TaskId(0)));
         w.push(TaskSpec::comm("d", GpuId(0), ()));
-        let labels = |w: &Workload<()>| -> Vec<String> {
-            w.tasks().iter().map(|t| t.label.clone()).collect()
-        };
+        let labels =
+            |w: &Workload<()>| -> Vec<Label> { w.tasks().iter().map(|t| t.label).collect() };
         let deps = |w: &Workload<()>| -> Vec<Vec<TaskId>> {
             w.tasks().iter().map(|t| t.deps.clone()).collect()
         };

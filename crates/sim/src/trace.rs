@@ -1,6 +1,6 @@
 //! Simulation output: task records, power segments, overlap windows.
 
-use crate::{GpuId, SimTime, StreamKind, TaskId};
+use crate::{GpuId, Label, Participants, SimTime, StreamKind, TaskId};
 
 /// A half-open time window `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,9 +33,9 @@ pub struct TaskRecord {
     /// The task's id.
     pub id: TaskId,
     /// The task's label.
-    pub label: String,
-    /// Devices the task occupied.
-    pub participants: Vec<GpuId>,
+    pub label: Label,
+    /// Devices the task occupied, shared with the task's spec.
+    pub participants: Participants,
     /// The stream it occupied.
     pub stream: StreamKind,
     /// When the task started running.
@@ -206,7 +206,7 @@ impl SimTrace {
                 let duration = end - r.start;
                 TaskRecord {
                     id: r.id,
-                    label: r.label.clone(),
+                    label: r.label,
                     participants: r.participants.clone(),
                     stream: r.stream,
                     start: r.start,
@@ -282,7 +282,7 @@ impl SimTrace {
         let mut records = self.records.clone();
         records.extend(later.records.iter().map(|r| TaskRecord {
             id: TaskId(r.id.0 + id_base),
-            label: r.label.clone(),
+            label: r.label,
             participants: r.participants.clone(),
             stream: r.stream,
             start: r.start + offset,
@@ -390,7 +390,7 @@ mod tests {
                 TaskRecord {
                     id: TaskId(0),
                     label: "k0".into(),
-                    participants: vec![GpuId(0)],
+                    participants: vec![GpuId(0)].into(),
                     stream: StreamKind::Compute,
                     start: SimTime::ZERO,
                     end: SimTime::from_secs(1.0),
@@ -399,7 +399,7 @@ mod tests {
                 TaskRecord {
                     id: TaskId(1),
                     label: "ar".into(),
-                    participants: vec![GpuId(0), GpuId(1)],
+                    participants: vec![GpuId(0), GpuId(1)].into(),
                     stream: StreamKind::Comm,
                     start: SimTime::from_secs(0.5),
                     end: SimTime::from_secs(2.0),
@@ -430,7 +430,7 @@ mod tests {
             vec![TaskRecord {
                 id: TaskId(0),
                 label: "k1".into(),
-                participants: vec![GpuId(0)],
+                participants: vec![GpuId(0)].into(),
                 stream: StreamKind::Compute,
                 start: SimTime::ZERO,
                 end: SimTime::from_secs(1.0),
@@ -536,7 +536,7 @@ mod tests {
         let records = vec![TaskRecord {
             id: TaskId(0),
             label: "ar".into(),
-            participants: vec![GpuId(0), GpuId(1)],
+            participants: vec![GpuId(0), GpuId(1)].into(),
             stream: StreamKind::Comm,
             start: SimTime::ZERO,
             end: SimTime::from_secs(2.0),

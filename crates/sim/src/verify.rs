@@ -280,13 +280,13 @@ pub fn verify_trace<P>(workload: &Workload<P>, trace: &SimTrace) -> Vec<Violatio
         if rec.end.as_secs() < rec.start.as_secs() {
             violations.push(Violation::EndBeforeStart {
                 task: rec.id,
-                label: rec.label.clone(),
+                label: rec.label.to_string(),
             });
         }
         if rec.end.as_secs() > makespan + EPS {
             violations.push(Violation::EndsAfterMakespan {
                 task: rec.id,
-                label: rec.label.clone(),
+                label: rec.label.to_string(),
                 end_s: rec.end.as_secs(),
                 makespan_s: makespan,
             });
@@ -294,7 +294,7 @@ pub fn verify_trace<P>(workload: &Workload<P>, trace: &SimTrace) -> Vec<Violatio
         if rec.coactive.as_secs() > rec.duration().as_secs() + EPS {
             violations.push(Violation::CoactiveExceedsDuration {
                 task: rec.id,
-                label: rec.label.clone(),
+                label: rec.label.to_string(),
             });
         }
     }
@@ -306,9 +306,9 @@ pub fn verify_trace<P>(workload: &Workload<P>, trace: &SimTrace) -> Vec<Violatio
             if dep_rec.end.as_secs() > rec.start.as_secs() + EPS {
                 violations.push(Violation::DependencyOrder {
                     task: rec.id,
-                    label: rec.label.clone(),
+                    label: rec.label.to_string(),
                     dep: *dep,
-                    dep_label: dep_rec.label.clone(),
+                    dep_label: dep_rec.label.to_string(),
                     start_s: rec.start.as_secs(),
                     dep_end_s: dep_rec.end.as_secs(),
                 });
@@ -339,9 +339,9 @@ pub fn verify_trace<P>(workload: &Workload<P>, trace: &SimTrace) -> Vec<Violatio
                             gpu,
                             stream,
                             task: rec.id,
-                            label: rec.label.clone(),
+                            label: rec.label.to_string(),
                             predecessor: prev,
-                            predecessor_label: records[prev.index()].label.clone(),
+                            predecessor_label: records[prev.index()].label.to_string(),
                         });
                     }
                 }
@@ -351,9 +351,9 @@ pub fn verify_trace<P>(workload: &Workload<P>, trace: &SimTrace) -> Vec<Violatio
                             gpu,
                             stream,
                             task: rec.id,
-                            label: rec.label.clone(),
+                            label: rec.label.to_string(),
                             predecessor: prev,
-                            predecessor_label: records[prev.index()].label.clone(),
+                            predecessor_label: records[prev.index()].label.to_string(),
                         });
                     }
                 }

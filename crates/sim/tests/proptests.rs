@@ -73,8 +73,8 @@ fn build_workload(tasks: &[RandomTask], n_gpus: usize) -> Workload<Dur> {
     let mut w = Workload::new(n_gpus);
     for (i, t) in tasks.iter().enumerate() {
         let mut spec = TaskSpec::new(
-            format!("t{i}"),
-            t.gpus.iter().map(|&g| GpuId(g)).collect(),
+            olab_sim::label!("t{}", i),
+            t.gpus.iter().map(|&g| GpuId(g)).collect::<Vec<_>>(),
             t.stream,
             Dur(t.duration),
         );
