@@ -92,15 +92,54 @@ pub struct Machine {
     /// windows; the governor then prices both the slower clock and its
     /// lower dynamic power.
     gpu_freq_caps: Vec<f64>,
-    /// Telemetry for the epoch whose rates were last assigned, indexed by
-    /// GPU — what the simulated NVML poll reads through
-    /// [`RateModel::counters`].
-    last_counters: Vec<GpuCounters>,
     /// Per-epoch scratch (reused across epochs to keep the rate-assignment
     /// hot path allocation-free once warm).
     scratch_compute_on: Vec<Option<usize>>,
     scratch_comm_on: Vec<Option<usize>>,
-    scratch_epochs: Vec<GpuEpoch>,
+    /// The pricing memo, indexed by GPU: each GPU's [`PricingKey`] and
+    /// [`Machine::gpu_epoch`] result for the epoch whose rates were last
+    /// assigned. Its counters are what the simulated NVML poll reads
+    /// through [`RateModel::counters`].
+    priced: Vec<Option<Priced>>,
+}
+
+/// Everything [`Machine::gpu_epoch`] reads about one GPU, within one
+/// machine's configuration: the co-resident kernel by value, the four
+/// fields of the co-resident collective it prices by bit pattern, and the
+/// GPU's effective clock cap. Equal keys price to bit-identical results,
+/// so [`Machine::assign_rates`] reuses a result whose key matches.
+#[derive(Debug, Clone, PartialEq)]
+struct PricingKey {
+    kernel: Option<ComputeOp>,
+    /// `sm_fraction`, `wire_bytes_per_rank`, `hbm_bytes_per_rank` and
+    /// `wire_rate_bytes_per_sec`, as bits.
+    comm: Option<[u64; 4]>,
+    cap: Option<u64>,
+}
+
+impl PricingKey {
+    fn new(kernel: Option<&ComputeOp>, comm: Option<&CommOp>, cap: Option<f64>) -> Self {
+        PricingKey {
+            kernel: kernel.cloned(),
+            comm: comm.map(|op| {
+                [
+                    op.sm_fraction.to_bits(),
+                    op.wire_bytes_per_rank.to_bits(),
+                    op.hbm_bytes_per_rank.to_bits(),
+                    op.wire_rate_bytes_per_sec.to_bits(),
+                ]
+            }),
+            cap: cap.map(f64::to_bits),
+        }
+    }
+}
+
+/// One memoized pricing.
+#[derive(Debug, Clone)]
+struct Priced {
+    key: PricingKey,
+    epoch: GpuEpoch,
+    counters: GpuCounters,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -148,10 +187,9 @@ impl Machine {
             contention,
             rng,
             gpu_freq_caps: Vec::new(),
-            last_counters: Vec::new(),
             scratch_compute_on: Vec::new(),
             scratch_comm_on: Vec::new(),
-            scratch_epochs: Vec::new(),
+            priced: Vec::new(),
         }
     }
 
@@ -196,6 +234,18 @@ impl Machine {
         op.wire_rate_bytes_per_sec * amplification
     }
 
+    /// GPU `g`'s pricing for the epoch whose rates were last assigned.
+    fn priced(&self, g: usize) -> &Priced {
+        self.priced[g]
+            .as_ref()
+            .expect("every GPU is priced each epoch")
+    }
+
+    /// GPU `g`'s transient clock cap, if one is in force (below 1.0).
+    fn freq_cap(&self, g: usize) -> Option<f64> {
+        self.gpu_freq_caps.get(g).copied().filter(|&cap| cap < 1.0)
+    }
+
     /// Prices one GPU for an epoch in which `kernel` and/or `comm` are
     /// co-resident on it: contention factors, DVFS decision, board power,
     /// and telemetry counters.
@@ -204,6 +254,9 @@ impl Machine {
     /// calls it per GPU per epoch; the analytic fast path
     /// (`olab_core::analytic`) calls it per schedule segment, which is what
     /// guarantees the two execution paths agree by construction.
+    ///
+    /// The result depends on `g` only through its clock cap: a
+    /// [`PricingKey`] holds every input read here.
     fn gpu_epoch(
         &self,
         g: usize,
@@ -263,9 +316,9 @@ impl Machine {
         }
         util.mem = util.mem.clamp(0.0, 1.0);
 
-        let governor = match self.gpu_freq_caps.get(g) {
-            Some(&cap) if cap < 1.0 => self.config.governor.capped(cap),
-            _ => self.config.governor,
+        let governor = match self.freq_cap(g) {
+            Some(cap) => self.config.governor.capped(cap),
+            None => self.config.governor,
         };
         if contended {
             let decision = governor.decide(&self.power_profile, &util);
@@ -347,6 +400,60 @@ impl Machine {
     }
 }
 
+/// Every field of a pricing as bits, for checking a memo hit against a
+/// fresh pricing bit for bit. The structs are destructured in full, so a
+/// field added to either one must be added here.
+fn pricing_bits((epoch, counters): &(GpuEpoch, GpuCounters)) -> ([u64; 6], [u64; 7], [u64; 5]) {
+    let GpuEpoch {
+        sm_avail,
+        compute_bw_fraction,
+        comm_factor,
+        l2,
+        freq,
+        power_w,
+        demand,
+    } = *epoch;
+    let demand = match demand {
+        Some(KernelDemand {
+            flops,
+            bytes,
+            flops_per_sec,
+            bytes_per_sec,
+            launch_s,
+            on_tensor_core,
+        }) => [
+            1.0,
+            flops,
+            bytes,
+            flops_per_sec,
+            bytes_per_sec,
+            launch_s,
+            f64::from(u8::from(on_tensor_core)),
+        ],
+        None => [0.0; 7],
+    };
+    let GpuCounters {
+        sm_occupancy,
+        hbm_util,
+        link_util,
+        freq_factor,
+        power_w: counted_w,
+    } = *counters;
+    (
+        [
+            sm_avail,
+            compute_bw_fraction,
+            comm_factor,
+            l2,
+            freq,
+            power_w,
+        ]
+        .map(f64::to_bits),
+        demand.map(f64::to_bits),
+        [sm_occupancy, hbm_util, link_util, freq_factor, counted_w].map(f64::to_bits),
+    )
+}
+
 impl RateModel for Machine {
     type Payload = Op;
 
@@ -359,16 +466,13 @@ impl RateModel for Machine {
         let n_gpus = power.len();
 
         // Index the (at most one) compute and comm task per GPU. The index
-        // and epoch buffers are machine-owned scratch, reused every epoch.
+        // buffers are machine-owned scratch, reused every epoch.
         let mut compute_on = std::mem::take(&mut self.scratch_compute_on);
         let mut comm_on = std::mem::take(&mut self.scratch_comm_on);
-        let mut epochs = std::mem::take(&mut self.scratch_epochs);
         compute_on.clear();
         compute_on.resize(n_gpus, None);
         comm_on.clear();
         comm_on.resize(n_gpus, None);
-        epochs.clear();
-        epochs.resize(n_gpus, GpuEpoch::default());
         for (i, task) in running.iter().enumerate() {
             match task.payload {
                 Op::Compute(_) => {
@@ -386,23 +490,42 @@ impl RateModel for Machine {
             }
         }
 
-        // Per-GPU epoch state: contention factors, frequency, power.
-        self.last_counters.clear();
-        self.last_counters.resize(n_gpus, GpuCounters::default());
+        // Per-GPU epoch state: contention factors, frequency, power. A GPU
+        // is repriced only when its key differs from its own last one and
+        // from every key already priced this epoch, so lockstep ranks
+        // holding equal pairs share one pricing.
+        self.priced.resize(n_gpus, None);
         for g in 0..n_gpus {
             let comm = comm_on[g].and_then(|i| running[i].payload.as_comm());
             let kernel = compute_on[g].and_then(|i| running[i].payload.as_compute());
-            let (epoch, counters) = self.gpu_epoch(g, kernel, comm);
-            self.last_counters[g] = counters;
-            epochs[g] = epoch;
+            let key = PricingKey::new(kernel, comm, self.freq_cap(g));
+            if self.priced[g].as_ref().is_none_or(|own| own.key != key) {
+                let shared = self.priced[..g].iter().flatten().find(|p| p.key == key);
+                match shared.cloned() {
+                    Some(priced) => self.priced[g] = Some(priced),
+                    None => {
+                        let (epoch, counters) = self.gpu_epoch(g, kernel, comm);
+                        self.priced[g] = Some(Priced {
+                            key,
+                            epoch,
+                            counters,
+                        });
+                        continue;
+                    }
+                }
+            }
+            debug_assert_eq!(
+                pricing_bits(&(self.priced(g).epoch, self.priced(g).counters)),
+                pricing_bits(&self.gpu_epoch(g, kernel, comm)),
+                "memoized pricing of GPU {g} diverged from a fresh one"
+            );
         }
 
         // Rates.
         for (i, task) in running.iter().enumerate() {
             rates[i] = match task.payload {
                 Op::Compute(_) => {
-                    let g = task.participants[0].index();
-                    let epoch = &epochs[g];
+                    let epoch = &self.priced(task.participants[0].index()).epoch;
                     let d = epoch.demand.expect("kernel demand computed");
                     let t_flop = d.compute_time(epoch.freq) / epoch.sm_avail;
                     let t_mem = d.memory_time(epoch.compute_bw_fraction);
@@ -413,7 +536,7 @@ impl RateModel for Machine {
                     let factor = task
                         .participants
                         .iter()
-                        .map(|g| epochs[g.index()].comm_factor)
+                        .map(|g| self.priced(g.index()).epoch.comm_factor)
                         .fold(1.0_f64, f64::min);
                     let duration = op.latency_s
                         + op.wire_bytes_per_rank / (op.wire_rate_bytes_per_sec * factor.max(0.05));
@@ -435,7 +558,7 @@ impl RateModel for Machine {
 
         for g in 0..n_gpus {
             power[g] = if compute_on[g].is_some() || comm_on[g].is_some() {
-                epochs[g].power_w
+                self.priced(g).epoch.power_w
             } else {
                 self.power_profile.idle_w
             };
@@ -443,11 +566,13 @@ impl RateModel for Machine {
 
         self.scratch_compute_on = compute_on;
         self.scratch_comm_on = comm_on;
-        self.scratch_epochs = epochs;
     }
 
     fn counters(&self, gpu: usize) -> GpuCounters {
-        self.last_counters.get(gpu).copied().unwrap_or_default()
+        self.priced
+            .get(gpu)
+            .and_then(|p| p.as_ref())
+            .map_or_else(GpuCounters::default, |p| p.counters)
     }
 }
 

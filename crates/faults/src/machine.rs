@@ -22,11 +22,12 @@
 use crate::scenario::{FaultTimeline, EDGE_TOL};
 use olab_ccl::{adjudicate, relower_degraded, CommOp, FailAction, WatchdogVerdict};
 use olab_core::Machine;
+use olab_grid::StableHasher;
 use olab_net::{ring_links, Link};
 use olab_parallel::Op;
 use olab_sim::{GpuCounters, Label, RateModel, RunningTask, TaskId};
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::convert::Infallible;
 
 /// Progress rate of a stalled task: effectively zero, but positive so the
 /// engine's invariants hold (the epoch is bounded by the next watchdog
@@ -114,11 +115,12 @@ pub struct FaultyMachine {
     n_gpus: usize,
     states: HashMap<TaskId, CommState>,
     /// The ECC verdict of each task id seen so far: the hash is fixed per
-    /// task, so a kernel's label is rendered, and a selected kernel
-    /// counted, once rather than every epoch it runs.
+    /// task, so a kernel's label is hashed, and a selected kernel counted,
+    /// once rather than every epoch it runs.
     ecc_verdicts: Vec<Option<bool>>,
-    /// Reused buffer the hash input is rendered into.
-    ecc_bytes: Vec<u8>,
+    /// The per-GPU clock caps last handed to `base`; empty until the first
+    /// epoch, so that epoch always sets them.
+    caps: Vec<f64>,
     /// Links whose communicator has already been rebuilt: later collectives
     /// crossing them degrade immediately instead of re-paying the watchdog.
     rebuilt: Vec<Link>,
@@ -136,7 +138,7 @@ impl FaultyMachine {
             n_gpus,
             states: HashMap::new(),
             ecc_verdicts: Vec::new(),
-            ecc_bytes: Vec::new(),
+            caps: Vec::new(),
             rebuilt: Vec::new(),
             stats: FaultStats::default(),
             abort: None,
@@ -160,8 +162,11 @@ impl FaultyMachine {
 
     /// Whether the ECC model selects this kernel, by pure hash of
     /// `(seed, task id, rendered label)` — stable under any epoch
-    /// interleaving. Decided once per task and cached; a selected kernel
-    /// is counted in [`FaultStats::ecc_kernels`] when it is decided.
+    /// interleaving. The seed's and id's little-endian bytes and then the
+    /// label's pieces stream into one FNV-1a hasher, which digests exactly
+    /// what hashing the concatenated bytes would. Decided once per task and
+    /// cached; a selected kernel is counted in [`FaultStats::ecc_kernels`]
+    /// when it is decided.
     fn ecc_selects(&mut self, id: TaskId, label: Label) -> bool {
         if self.timeline.ecc.rate <= 0.0 {
             return false;
@@ -173,12 +178,15 @@ impl FaultyMachine {
         if let Some(verdict) = self.ecc_verdicts[slot] {
             return verdict;
         }
-        let bytes = &mut self.ecc_bytes;
-        bytes.clear();
-        bytes.extend_from_slice(&self.timeline.ecc.seed.to_le_bytes());
-        bytes.extend_from_slice(&id.0.to_le_bytes());
-        write!(bytes, "{label}").expect("rendering into a Vec cannot fail");
-        let hash = olab_grid::fnv1a_64(bytes);
+        let mut hasher = StableHasher::new();
+        hasher
+            .write_u64(self.timeline.ecc.seed)
+            .write_bytes(&id.0.to_le_bytes());
+        let Ok(()) = label.try_for_each_piece(|piece| {
+            hasher.write_str(piece);
+            Ok::<(), Infallible>(())
+        });
+        let hash = hasher.finish();
         let verdict = (hash as f64 / u64::MAX as f64) < self.timeline.ecc.rate;
         self.ecc_verdicts[slot] = Some(verdict);
         self.stats.ecc_kernels += u32::from(verdict);
@@ -232,9 +240,14 @@ impl FaultyMachine {
             _ => 1.0,
         };
 
-        let ring = ring_links(participants);
-        for fault in self.timeline.link_faults.clone() {
-            if !fault.active_at(now) || !ring.contains(&fault.link) {
+        // The ring is built only once some link fault is active.
+        let mut ring = None;
+        for &fault in &self.timeline.link_faults {
+            if !fault.active_at(now)
+                || !ring
+                    .get_or_insert_with(|| ring_links(participants))
+                    .contains(&fault.link)
+            {
                 continue;
             }
             if !fault.is_outage() {
@@ -363,11 +376,15 @@ impl RateModel for FaultyMachine {
         power: &mut [f64],
     ) {
         // Straggler windows become per-GPU clock caps on the real machine,
-        // so throttled rate and throttled power stay consistent.
-        let caps: Vec<f64> = (0..self.n_gpus)
-            .map(|g| self.timeline.freq_cap_at(g, now))
-            .collect();
-        self.base.set_gpu_freq_caps(caps);
+        // so throttled rate and throttled power stay consistent. The caps
+        // only move at throttle edges, so they are handed over only then.
+        let cap_at = |g: usize| self.timeline.freq_cap_at(g, now);
+        if self.caps.len() != self.n_gpus
+            || (0..self.n_gpus).any(|g| self.caps[g].to_bits() != cap_at(g).to_bits())
+        {
+            self.caps = (0..self.n_gpus).map(cap_at).collect();
+            self.base.set_gpu_freq_caps(self.caps.clone());
+        }
         self.base.assign_rates_at(now, running, rates, power);
 
         if self.abort.is_some() {
@@ -669,5 +686,42 @@ mod tests {
             "retry adds its fixed latency: {with_ecc} vs {healthy} + 0.25"
         );
         assert_eq!(faulty.stats().ecc_kernels, 1);
+    }
+
+    /// Pins which kernels the ECC model selects on one fixed cell, so a
+    /// change to how the hash input is fed cannot silently move the
+    /// selection. The values were recorded before the label bytes were
+    /// streamed into the hasher instead of rendered into a buffer.
+    #[test]
+    fn ecc_selection_is_pinned_on_a_fixed_cell() {
+        use crate::scenario::{FaultScenarioSpec, Severity};
+        use olab_core::{execute, execute_model, Experiment, Strategy};
+        use olab_gpu::SkuKind;
+        use olab_grid::StableHasher;
+        use olab_models::ModelPreset;
+        use olab_parallel::ExecutionMode;
+
+        let exp =
+            Experiment::new(SkuKind::H100, 4, ModelPreset::Gpt3Xl, Strategy::Fsdp, 8).with_seq(256);
+        let policy = exp.validate().unwrap();
+        let workload = exp.timeline(ExecutionMode::Overlapped, policy).unwrap();
+        let machine = exp.machine();
+        let horizon = execute(&workload, &machine).unwrap().e2e_s;
+        let spec = FaultScenarioSpec::degrade(7, Severity::Severe);
+        let timeline = FaultTimeline::generate(&spec, exp.n_gpus, horizon);
+        let mut faulty = FaultyMachine::new(machine, timeline);
+        execute_model(&workload, &mut faulty).unwrap();
+
+        let mut digest = StableHasher::new();
+        for (id, verdict) in faulty.ecc_verdicts.iter().enumerate() {
+            if *verdict == Some(true) {
+                digest.write_u64(id as u64);
+            }
+        }
+        assert_eq!(
+            (faulty.stats().ecc_kernels, digest.finish()),
+            (639, 1_459_951_227_633_333_560),
+            "ECC selection moved"
+        );
     }
 }

@@ -116,18 +116,7 @@ impl PowerTrace {
 
     /// Average draw over `[a, b)`, watts (0 if the interval is empty).
     pub fn average_over(&self, a: f64, b: f64) -> f64 {
-        if b <= a {
-            return 0.0;
-        }
-        let mut energy = 0.0;
-        for (t0, t1, w) in &self.segments {
-            let lo = t0.max(a);
-            let hi = t1.min(b);
-            if hi > lo {
-                energy += w * (hi - lo);
-            }
-        }
-        energy / (b - a)
+        average_within(&self.segments, a, b)
     }
 
     /// Energy delivered within `[a, b)`, joules (0 if the interval is
@@ -138,15 +127,7 @@ impl PowerTrace {
         if b <= a {
             return 0.0;
         }
-        let mut energy = 0.0;
-        for (t0, t1, w) in &self.segments {
-            let lo = t0.max(a);
-            let hi = t1.min(b);
-            if hi > lo {
-                energy += w * (hi - lo);
-            }
-        }
-        energy
+        energy_within(&self.segments, a, b)
     }
 
     /// Peak instantaneous draw within `[a, b)`, watts.
@@ -175,6 +156,12 @@ impl PowerTrace {
     /// * zero-duration segments carry no energy and never affect samples;
     /// * an empty trace yields no samples.
     ///
+    /// Each reading equals [`PowerTrace::average_over`] of its window bit
+    /// for bit, but the trace is swept once. This relies on the segments
+    /// starting in time order, as the engine emits them: a window's
+    /// overlapping segments then lie between two cursors that only move
+    /// forward, and they are added in the order `average_over` adds them.
+    ///
     /// # Panics
     ///
     /// Panics if the sampler's interval is not positive and finite (a
@@ -183,7 +170,12 @@ impl PowerTrace {
         let dur = self.duration_s();
         let dt = sampler.interval_s;
         assert!(dt.is_finite() && dt > 0.0, "invalid sampling interval {dt}");
+        debug_assert!(
+            self.segments.windows(2).all(|p| p[0].0 <= p[1].0),
+            "power segments out of time order"
+        );
         let mut samples = Vec::new();
+        let (mut first, mut last) = (0, 0);
         let mut k = 0u64;
         loop {
             let t = k as f64 * dt;
@@ -191,14 +183,47 @@ impl PowerTrace {
                 break;
             }
             let end = (t + dt).min(dur);
+            // Segments ending by `t` overlap neither this window nor any
+            // later one; those starting at or after `end` overlap none up
+            // to `end`.
+            while self.segments.get(first).is_some_and(|s| s.1 <= t) {
+                first += 1;
+            }
+            last = last.max(first);
+            while self.segments.get(last).is_some_and(|s| s.0 < end) {
+                last += 1;
+            }
             samples.push(PowerSample {
                 time_s: (t + end) / 2.0,
-                watts: self.average_over(t, end),
+                watts: average_within(&self.segments[first..last], t, end),
             });
             k += 1;
         }
         SampledTrace { sampler, samples }
     }
+}
+
+/// Energy `segments` deliver within `[a, b)`, joules, summed in segment
+/// order.
+fn energy_within(segments: &[(f64, f64, f64)], a: f64, b: f64) -> f64 {
+    let mut energy = 0.0;
+    for (t0, t1, w) in segments {
+        let lo = t0.max(a);
+        let hi = t1.min(b);
+        if hi > lo {
+            energy += w * (hi - lo);
+        }
+    }
+    energy
+}
+
+/// Average draw of `segments` over `[a, b)`, watts (0 if the interval is
+/// empty).
+fn average_within(segments: &[(f64, f64, f64)], a: f64, b: f64) -> f64 {
+    if b <= a {
+        return 0.0;
+    }
+    energy_within(segments, a, b) / (b - a)
 }
 
 /// A sequence of telemetry readings from one sampler.
@@ -364,6 +389,70 @@ mod tests {
         // segment-wise statistic, not a time integral) still reports it.
         assert_eq!(t.peak_over(0.0, 0.1), 200.0);
         assert_eq!(t.peak_instantaneous(), 999.0);
+    }
+
+    /// The per-window reference the one-pass sweep must reproduce.
+    fn sample_by_windows(t: &PowerTrace, dt: f64) -> Vec<(u64, u64)> {
+        let dur = t.duration_s();
+        let mut out = Vec::new();
+        let mut k = 0u64;
+        while (k as f64 * dt) < dur {
+            let a = k as f64 * dt;
+            let b = (a + dt).min(dur);
+            out.push((((a + b) / 2.0).to_bits(), t.average_over(a, b).to_bits()));
+            k += 1;
+        }
+        out
+    }
+
+    fn sample_bits(t: &PowerTrace, dt: f64) -> Vec<(u64, u64)> {
+        t.sample(Sampler::with_interval("t", dt))
+            .samples
+            .iter()
+            .map(|s| (s.time_s.to_bits(), s.watts.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_sampling_matches_per_window_averages_bit_for_bit() {
+        let mut rng = olab_sim::SeededRng::seed_from_u64(17);
+        let mut checked = 0;
+        for _ in 0..200 {
+            // Contiguous segments of random length, a fifth of them empty.
+            let mut segments = Vec::new();
+            let mut at = 0.0;
+            for _ in 0..1 + (rng.next_f64() * 40.0) as usize {
+                let len = if rng.next_f64() < 0.2 {
+                    0.0
+                } else {
+                    rng.next_f64() * 0.03
+                };
+                segments.push(seg(at, at + len, 50.0 + 800.0 * rng.next_f64()));
+                at += len;
+            }
+            let t = PowerTrace::from_segments(&segments);
+            // Cadences from finer than a segment to coarser than the trace;
+            // most leave a partial final window.
+            let dt = 0.0005 + 0.2 * rng.next_f64() * rng.next_f64();
+            let reference = sample_by_windows(&t, dt);
+            assert_eq!(sample_bits(&t, dt), reference, "dt {dt}, trace {t:?}");
+            checked += reference.len();
+        }
+        assert!(checked > 1000, "only {checked} windows compared");
+
+        // Hand-picked edges: an empty trace, zero-length segments on and
+        // between window boundaries, and a partial final window.
+        let edges = PowerTrace::from_segments(&[
+            seg(0.0, 0.0, 700.0),
+            seg(0.0, 0.1, 100.0),
+            seg(0.1, 0.1, 999.0),
+            seg(0.1, 0.25, 300.0),
+            seg(0.25, 0.25, 5.0),
+        ]);
+        for dt in [0.1, 0.05, 0.03, 1.0] {
+            assert_eq!(sample_bits(&edges, dt), sample_by_windows(&edges, dt));
+        }
+        assert!(sample_bits(&PowerTrace::default(), 0.1).is_empty());
     }
 
     #[test]

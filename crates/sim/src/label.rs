@@ -4,7 +4,8 @@
 //!
 //! A [`Label`] is a static template plus up to four integer arguments,
 //! rendered only where text is written out (trace exporters, panic and
-//! violation messages). [`Participants`] stores a single device inline and
+//! violation messages) or streamed piece by piece into a byte consumer
+//! (the fault model's ECC selection hash). [`Participants`] stores a single device inline and
 //! shares a multi-device group behind one reference count, so a builder
 //! that issues the same collective group for every layer allocates the
 //! group once.
@@ -93,17 +94,62 @@ impl Label {
             .expect("label argument does not fit in u32")
     }
 
-    /// Writes the rendered text to `out`.
-    fn render(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        let mut rest = self.template;
+    /// Walks the rendered text piece by piece: each template slice
+    /// between holes, and the decimal digits of each hole's argument, in
+    /// order. Stops at, and returns, the first error `emit` reports.
+    ///
+    /// This is the one renderer: `Display`, comparison against a `str` and
+    /// byte-level consumers such as hashers all go through it, so the
+    /// concatenated pieces are exactly the `to_string()` text. Pieces may
+    /// be empty (the slice between adjacent holes).
+    ///
+    /// ```rust
+    /// use olab_sim::label;
+    ///
+    /// let mut pieces = Vec::new();
+    /// let _ = label!("L{}.k{}", 3, 12).try_for_each_piece(|p| {
+    ///     pieces.push(p.to_owned());
+    ///     Ok::<(), ()>(())
+    /// });
+    /// assert_eq!(pieces, ["L", "3", ".k", "12", ""]);
+    /// ```
+    pub fn try_for_each_piece<E>(
+        &self,
+        mut emit: impl FnMut(&str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let bytes = self.template.as_bytes();
         let mut args = self.args.iter();
-        while let Some(at) = rest.find("{}") {
-            out.write_str(&rest[..at])?;
-            write!(out, "{}", args.next().copied().unwrap_or_default())?;
-            rest = &rest[at + 2..];
+        let (mut from, mut i) = (0, 0);
+        while i + 1 < bytes.len() {
+            if bytes[i] == b'{' && bytes[i + 1] == b'}' {
+                emit(&self.template[from..i])?;
+                let mut digits = [0u8; 10];
+                emit(decimal(
+                    args.next().copied().unwrap_or_default(),
+                    &mut digits,
+                ))?;
+                i += 2;
+                from = i;
+            } else {
+                i += 1;
+            }
         }
-        out.write_str(rest)
+        emit(&self.template[from..])
     }
+}
+
+/// The decimal digits of `n`, written at the end of `buf`.
+fn decimal(mut n: u32, buf: &mut [u8; 10]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 impl From<&'static str> for Label {
@@ -117,7 +163,7 @@ impl From<&'static str> for Label {
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.render(f)
+        self.try_for_each_piece(|piece| f.write_str(piece))
     }
 }
 
@@ -130,16 +176,13 @@ impl fmt::Debug for Label {
 impl PartialEq<str> for Label {
     /// Compares the rendered text, without allocating.
     fn eq(&self, other: &str) -> bool {
-        /// Consumes the expected text as the label renders.
-        struct Expect<'a>(&'a str);
-        impl fmt::Write for Expect<'_> {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
-                Ok(())
-            }
-        }
-        let mut expect = Expect(other);
-        self.render(&mut expect).is_ok() && expect.0.is_empty()
+        let mut rest = other;
+        self.try_for_each_piece(|piece| {
+            rest = rest.strip_prefix(piece).ok_or(())?;
+            Ok::<(), ()>(())
+        })
+        .is_ok()
+            && rest.is_empty()
     }
 }
 
@@ -308,6 +351,74 @@ mod tests {
         assert_ne!(l, "L12.f.k0");
         assert_ne!(l, "L1");
         assert_ne!(l, "L12.g");
+    }
+
+    /// The pieces of `l`, concatenated.
+    fn joined(l: Label) -> String {
+        let mut text = String::new();
+        let _ = l.try_for_each_piece(|piece| {
+            text.push_str(piece);
+            Ok::<(), ()>(())
+        });
+        text
+    }
+
+    #[test]
+    fn pieces_concatenate_to_the_rendered_text() {
+        let cases = [
+            (label!("k{}", 0), "k0"),
+            (label!("k{}", u32::MAX), "k4294967295"),
+            (label!("{}{}", 12, 345), "12345"),
+            (label!("{}.tail", 7), "7.tail"),
+            (label!("head.{}", 90), "head.90"),
+            (
+                label!("st{}.L{}.f.k{}.gpu{}", 0, 3, 2, 1),
+                "st0.L3.f.k2.gpu1",
+            ),
+            (label!("ar.embed"), "ar.embed"),
+            (Label::from(""), ""),
+        ];
+        for (l, text) in cases {
+            assert_eq!(l.to_string(), text);
+            assert_eq!(joined(l), text);
+        }
+    }
+
+    #[test]
+    fn pieces_split_at_holes_and_stop_at_the_first_error() {
+        let mut pieces = Vec::new();
+        let _ = label!("{}{}", 1, 20).try_for_each_piece(|p| {
+            pieces.push(p.to_owned());
+            Ok::<(), ()>(())
+        });
+        assert_eq!(pieces, ["", "1", "", "20", ""]);
+        let mut seen = 0;
+        let stopped = label!("a{}b", 5).try_for_each_piece(|_| {
+            seen += 1;
+            if seen == 2 {
+                Err(seen)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(stopped, Err(2));
+    }
+
+    #[test]
+    fn hashing_the_pieces_matches_hashing_the_rendered_text() {
+        use olab_grid::{fnv1a_64, StableHasher};
+        for l in [
+            label!("st{}.L{}.f.k{}.gpu{}", 0, 3, 2, 1),
+            label!("{}{}", u32::MAX, 0),
+            label!("adam"),
+        ] {
+            let mut h = StableHasher::new();
+            let _ = l.try_for_each_piece(|piece| {
+                h.write_str(piece);
+                Ok::<(), ()>(())
+            });
+            assert_eq!(h.finish(), fnv1a_64(l.to_string().as_bytes()));
+        }
     }
 
     #[test]
